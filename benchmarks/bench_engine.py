@@ -53,7 +53,10 @@ story to the approximate and FIFO paths: SHARDS-sampled profiling must
 beat exact profiling >= 20x on a dense 80-configuration LRU grid with
 per-seed miss-ratio error within ``SAMPLED_ERROR_BOUND``, and the
 single-pass FIFO profile must beat per-config FIFO kernels >= 5x,
-bit-exact on every cell.  ``REPRO_BENCH_ENGINE_ACCESSES`` overrides the
+bit-exact on every cell.  A ``synthesis`` section times the Spec95
+workload mixtures (tomcatv, swim, gcc) built by the per-access generator
+against the array-native builder: byte-identical, bounded at >= 10x.
+``REPRO_BENCH_ENGINE_ACCESSES`` overrides the
 trace length (default 1M); ``REPRO_BENCH_ENGINE_JSON`` overrides the
 artifact path (empty disables it).
 """
@@ -90,10 +93,11 @@ from repro.experiments.config import (
 )
 from repro.memory.paging import TLB, PageTable
 from repro.memory.translation import AddressTranslator
-from repro.trace.batching import cached_strided_arrays
+from repro.trace.batching import cached_strided_arrays, to_arrays
 from repro.trace.record import MemoryAccess
 from repro.trace.stream import iter_trace_chunks, write_trace_v2
 from repro.trace.trace_io import write_binary_trace
+from repro.trace.workloads import build_trace, build_trace_arrays
 
 #: The four families of Figure 1 / Table 2.
 SCHEMES = ["a2", "a2-Hx-Sk", "a2-Hp", "a2-Hp-Sk"]
@@ -661,6 +665,57 @@ def compare_trace_io(accesses=BENCH_ENGINE_ACCESSES):
     return {"chunk_size": TRACE_IO_CHUNK, "rows": rows}
 
 
+#: Minimum array-builder-over-generator ratio of the trace-synthesis
+#: section (measured ~27x at 40k accesses).
+REQUIRED_SPEEDUP_SYNTH = 10.0
+
+#: Programs of the trace-synthesis section: two high-conflict mixtures and
+#: one hot-dominated integer code (the most two-draw hot accesses).
+SYNTH_PROGRAMS = ("tomcatv", "swim", "gcc")
+
+
+def compare_trace_synthesis(accesses=BENCH_ENGINE_ACCESSES):
+    """Time Spec95 workload synthesis: generator versus array builder.
+
+    For each program, times ``to_arrays(build_trace(...))`` (one
+    ``MemoryAccess`` per reference) against ``build_trace_arrays(...)``
+    (whole-array NumPy) and asserts the two are byte-identical before
+    reporting the speedup.
+    """
+    rows = []
+    for program in SYNTH_PROGRAMS:
+        start = time.perf_counter()
+        expected = to_arrays(build_trace(program, length=accesses))
+        generator_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        got = build_trace_arrays(program, length=accesses)
+        arrays_seconds = time.perf_counter() - start
+        for want, have in zip(expected, got):
+            assert have.dtype == want.dtype and \
+                have.tobytes() == want.tobytes(), (
+                    f"{program}: array builder diverged from the generator")
+        rows.append({"program": program, "accesses": accesses,
+                     "generator_seconds": generator_seconds,
+                     "arrays_seconds": arrays_seconds,
+                     "speedup": generator_seconds / arrays_seconds})
+    return {"rows": rows}
+
+
+@pytest.mark.benchmark(group="engine-trace-synthesis")
+def test_trace_synthesis_throughput(benchmark):
+    """The array builder beats the generator >= 10x, byte-identical."""
+    result = benchmark.pedantic(
+        lambda: compare_trace_synthesis(BENCH_ENGINE_ACCESSES),
+        rounds=1, iterations=1)
+    print("\ntrace-synthesis: " + ", ".join(
+        f"{row['program']} {row['speedup']:.1f}x" for row in result["rows"]))
+    if BENCH_ENGINE_ACCESSES >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
+        for row in result["rows"]:
+            assert row["speedup"] >= REQUIRED_SPEEDUP_SYNTH, (
+                f"{row['program']}: array builder only {row['speedup']:.1f}x "
+                f"over the generator (required {REQUIRED_SPEEDUP_SYNTH}x)")
+
+
 @pytest.mark.benchmark(group="engine-trace-io")
 def test_trace_io_throughput(benchmark):
     """Chunked v2 streaming beats per-record v1 parsing >= 5x, bit-exact."""
@@ -765,7 +820,8 @@ def _load_trajectory(path):
 
 
 def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
-                    smoke=False, trace_io=None, profiler=None):
+                    smoke=False, trace_io=None, profiler=None,
+                    synthesis=None):
     """Append this run to the machine-readable trajectory artifact."""
     if not path:
         return None
@@ -781,6 +837,7 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "required_speedup_policy": REQUIRED_SPEEDUP_POLICY,
         "required_speedup_sweep": REQUIRED_SPEEDUP_SWEEP,
         "required_speedup_trace_io": REQUIRED_SPEEDUP_TRACE_IO,
+        "required_speedup_synthesis": REQUIRED_SPEEDUP_SYNTH,
         "required_speedup_sampled": REQUIRED_SPEEDUP_SAMPLED,
         "required_speedup_fifo_grid": REQUIRED_SPEEDUP_FIFO_GRID,
         "sampled_error_bound": SAMPLED_ERROR_BOUND,
@@ -788,6 +845,7 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "sweep": sweep,
         "trace_io": trace_io,
         "profiler": profiler,
+        "synthesis": synthesis,
     })
     artifact = {
         "benchmark": "bench_engine",
@@ -1141,8 +1199,22 @@ def main(argv=None):
                     f"{row['format']}: only {row['speedup_vs_v1']:.1f}x over "
                     f"v1 records (required {REQUIRED_SPEEDUP_TRACE_IO}x)")
 
+    # Trace-synthesis section: Spec95 mixtures, generator vs array builder.
+    synthesis = compare_trace_synthesis(accesses=accesses)
+    print(f"\ntrace-synthesis ({accesses:,} accesses per program, "
+          f"byte-identical):")
+    for row in synthesis["rows"]:
+        print(f"  {row['program']:10s} generator "
+              f"{row['generator_seconds']:6.2f}s, arrays "
+              f"{row['arrays_seconds']:6.3f}s ({row['speedup']:5.1f}x)")
+        if check_bounds:
+            assert row["speedup"] >= REQUIRED_SPEEDUP_SYNTH, (
+                f"{row['program']}: array builder only {row['speedup']:.1f}x "
+                f"over the generator (required {REQUIRED_SPEEDUP_SYNTH}x)")
+
     path = _write_artifact(rows, accesses, sweep=sweep, smoke=args.smoke,
-                           trace_io=trace_io, profiler=profiler)
+                           trace_io=trace_io, profiler=profiler,
+                           synthesis=synthesis)
     if path:
         print(f"appended run to {path}")
 

@@ -14,8 +14,9 @@ than reading bookkeeping fields off :class:`~repro.cache.block.CacheBlock`
 frames.  The tables are plain ``ways x num_sets`` structures, so the
 vectorized engine (:mod:`repro.engine.replacement_vec`) can keep byte-for-byte
 identical state in NumPy arrays and replay exactly the same decisions; the
-shared primitive helpers in this module (:func:`splitmix64`,
-:func:`plru_touch`, :func:`plru_victim`) are the single source of truth both
+shared primitive helpers (:func:`splitmix64`, from
+:mod:`repro.core.splitmix`, and :func:`plru_touch`, :func:`plru_victim`
+in this module) are the single source of truth both
 engines call into, which is what makes the cross-engine differential tests
 bit-exact by construction.
 
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import abc
 from typing import List, Sequence, Tuple
+
+from ..core.splitmix import splitmix64
 
 __all__ = [
     "DEFAULT_RANDOM_SEED",
@@ -56,20 +59,6 @@ __all__ = [
 DEFAULT_RANDOM_SEED = 0x9E3779B97F4A7C15
 
 _MASK64 = (1 << 64) - 1
-
-
-def splitmix64(x: int) -> int:
-    """SplitMix64 mix function: a stateless, counter-friendly 64-bit hash.
-
-    Unlike a stateful generator (xorshift, ``random.Random``), the n-th draw
-    is a pure function of ``seed + n`` — which is exactly what lets the
-    vectorized engine reproduce the scalar policy's victim sequence without
-    sharing mutable generator state.
-    """
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
 
 
 # --------------------------------------------------------------------- #

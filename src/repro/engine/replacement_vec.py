@@ -41,10 +41,11 @@ from ..cache.replacement import (
     plru_victim,
     splitmix64,
 )
+from ..core.splitmix import splitmix64_vec
 
 
 def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized :func:`~repro.cache.replacement.splitmix64` draw sequence.
+    """Vectorized :func:`~repro.core.splitmix.splitmix64` draw sequence.
 
     Returns ``splitmix64(seed + n)`` for ``n`` in ``[start, start + count)``
     as a ``uint64`` array — the exact values the scalar policy's counter
@@ -56,13 +57,8 @@ def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    with np.errstate(over="ignore"):
-        x = (np.uint64(seed & ((1 << 64) - 1))
-             + np.arange(start, start + count, dtype=np.uint64))
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    return splitmix64_vec(np.uint64(seed & ((1 << 64) - 1))
+                          + np.arange(start, start + count, dtype=np.uint64))
 
 
 def min_stamp_way(stamp: List[List[int]], candidate_sets: Sequence[int]) -> int:

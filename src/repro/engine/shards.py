@@ -48,9 +48,8 @@ Two sampled profiles mirror their exact twins' query APIs:
   or rates at/above 1) degrade to the exact kernel — bit-identical to the
   exact twin.
 
-Determinism: the hash is a splitmix64-style finalizer over
-``block XOR mix(seed)`` (same constants as
-:func:`repro.engine.replacement_vec.splitmix64_array`), so a profile is a
+Determinism: the hash is :func:`repro.core.splitmix.splitmix64` over
+``block XOR splitmix64(seed)``, so a profile is a
 pure function of (trace, block size, rate, seed) — identical across runs,
 chunkings and platforms.  Both profiles have carried-state Builder forms
 (:class:`SampledStackDistanceBuilder`,
@@ -66,6 +65,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cache.set_assoc import WritePolicy
+from ..core.splitmix import splitmix64, splitmix64_vec
 from .batch import AddressBatch
 from .memo import cached_block_numbers
 from .multiconfig import (
@@ -90,41 +90,21 @@ __all__ = [
     "SampledMultiConfigProfileBuilder",
 ]
 
-#: splitmix64 constants, shared with :mod:`repro.engine.replacement_vec`.
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
 
 
-def _mix64_scalar(value: int) -> int:
-    """splitmix64 finalizer of one 64-bit integer (pure Python)."""
-    x = (value + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-    return x ^ (x >> 31)
-
-
 def hash_blocks(blocks: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Spatial sampling hash: uint64 splitmix64 finalizer per block number.
+    """Spatial sampling hash: uint64 splitmix64 per block number.
 
     A pure function of ``(block, seed)`` — every access to a block hashes
     identically, which is exactly what makes hash-threshold sampling
     *spatial* (whole blocks are kept or dropped, never individual
-    accesses).  Vectorized with the same constants and overflow semantics
-    as :func:`repro.engine.replacement_vec.splitmix64_array`.
+    accesses).
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    x = np.asarray(blocks).astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= np.uint64(_mix64_scalar(seed))
-        x += np.uint64(_GOLDEN)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-        x ^= x >> np.uint64(31)
-    return x
+    return splitmix64_vec(np.asarray(blocks).astype(np.uint64)
+                          ^ np.uint64(splitmix64(seed)))
 
 
 def check_sample_rate(rate: float) -> float:

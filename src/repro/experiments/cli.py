@@ -46,11 +46,12 @@ from typing import List, Optional
 
 from ..cache.replacement import REPLACEMENT_POLICIES
 from ..engine import ENGINES, ON_ERROR_POLICIES, PROFILE_MODES
+from ..trace.workloads import workload_names
 from .column_assoc_study import run_column_assoc_study
 from .critical_path import run_critical_path_study
 from .figure1 import run_figure1
 from .holes_study import run_holes_study
-from .miss_ratio_study import run_miss_ratio_study
+from .miss_ratio_study import MIN_STUDY_ACCESSES, run_miss_ratio_study
 from .replacement_study import run_replacement_study
 from .table2 import miss_ratio_std_dev, run_table2
 from .table3 import run_table3
@@ -58,27 +59,26 @@ from .table3 import run_table3
 __all__ = ["main", "build_parser"]
 
 
-def _nonnegative_int(text: str) -> int:
-    """Argparse type: an integer >= 0 (rejected in the parser, not deep in a
-    driver — a negative ``--workers`` used to silently run serially)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int, why: str = ""):
+    """Argparse type: an integer >= ``minimum``, rejected in the parser (exit
+    code 2, one line naming the flag) rather than deep inside a driver or a
+    sweep worker."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}{why}, got {value}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+_nonnegative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
+#: The miss-ratio and replacement studies refuse shorter synthetic traces.
+_study_accesses = _int_at_least(MIN_STUDY_ACCESSES, " for stable ratios")
 
 
 def _positive_float(text: str) -> float:
@@ -188,6 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
                                   "vectorized engine (bounds memory; results "
                                   "are identical for any chunk size)")
 
+    def add_programs(parser_: argparse.ArgumentParser) -> None:
+        parser_.add_argument("--programs", nargs="*", default=None,
+                             choices=workload_names(), metavar="PROGRAM",
+                             help="synthetic Spec95 programs to run "
+                                  "(default: all 18)")
+
     figure1 = sub.add_parser("figure1", help="Figure 1 stride sweep")
     figure1.add_argument("--max-stride", type=int, default=1024)
     figure1.add_argument("--stride-step", type=int, default=4)
@@ -200,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table2 = sub.add_parser("table2", help="Table 2 IPC / miss-ratio sweep")
     table2.add_argument("--instructions", type=int, default=12_000)
-    table2.add_argument("--programs", nargs="*", default=None)
+    add_programs(table2)
     table2.add_argument("--csv", action="store_true")
     add_sweep_options(table2, unit="programs")
     add_engine(table2)
@@ -211,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine(table3)
 
     miss_ratio = sub.add_parser("miss-ratio", help="Section 2.1 organisation comparison")
-    miss_ratio.add_argument("--accesses", type=int, default=30_000)
-    miss_ratio.add_argument("--programs", nargs="*", default=None)
+    miss_ratio.add_argument("--accesses", type=_study_accesses, default=30_000)
+    add_programs(miss_ratio)
     miss_ratio.add_argument("--csv", action="store_true")
     add_sweep_options(miss_ratio, unit="programs")
     add_engine(miss_ratio)
@@ -223,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     replacement = sub.add_parser(
         "replacement-study",
         help="replacement policy x organisation sweep (LRU practicality)")
-    replacement.add_argument("--accesses", type=int, default=20_000)
-    replacement.add_argument("--programs", nargs="*", default=None)
+    replacement.add_argument("--accesses", type=_study_accesses,
+                             default=20_000)
+    add_programs(replacement)
     replacement.add_argument("--csv", action="store_true")
     add_sweep_options(replacement, unit="programs")
     add_engine(replacement)
@@ -232,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace(replacement)
 
     holes = sub.add_parser("holes", help="Section 3.3 hole model vs simulation")
-    holes.add_argument("--accesses", type=int, default=40_000)
+    holes.add_argument("--accesses", type=_positive_int, default=40_000)
     holes.add_argument("--l2-kilobytes", nargs="*", type=int, default=[256, 1024])
     holes.add_argument("--seed", type=int, default=999,
                        help="seed shared by the trace models and the "
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine(holes)
 
     column = sub.add_parser("column-assoc", help="Section 3.1 column-associative study")
-    column.add_argument("--accesses", type=int, default=30_000)
+    column.add_argument("--accesses", type=_positive_int, default=30_000)
 
     sub.add_parser("critical-path", help="Section 3/3.4 hardware cost and CLA timing")
     return parser

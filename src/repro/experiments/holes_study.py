@@ -30,13 +30,13 @@ from ..cache.virtual_real import VirtualRealHierarchy
 from ..engine import (
     ENGINE_REFERENCE,
     ENGINE_VECTORIZED,
+    AddressBatch,
     batch_virtual_real_like,
-    materialise_batch,
     check_engine,
 )
 from ..memory.paging import PageTable
 from ..models.holes import HoleModel
-from ..trace.workloads import build_trace, workload_names
+from ..trace.workloads import build_trace, build_trace_arrays, workload_names
 from .config import PAPER_HASH_BITS, CacheGeometry, build_cache
 
 __all__ = ["HoleStudyResult", "run_holes_study"]
@@ -129,8 +129,11 @@ def run_holes_study(l2_sizes: Sequence[int] = (256 * 1024, 1024 * 1024),
                                              page_size=page_size)
             if engine == ENGINE_VECTORIZED:
                 batch_vr = batch_virtual_real_like(hierarchy, page_table)
-                batch_vr.run(materialise_batch(
-                    build_trace(name, length=accesses, seed=seed)))
+                # Fresh writable arrays, deliberately not the read-only
+                # trace cache: read-only arrays switch on the engine memo's
+                # set-index lists, which cost memory and save no time here.
+                batch_vr.run(AddressBatch.from_arrays(*build_trace_arrays(
+                    name, length=accesses, seed=seed)))
                 hierarchy = batch_vr
             else:
                 for access in build_trace(name, length=accesses, seed=seed):

@@ -56,11 +56,16 @@ from .config import PAPER_HASH_BITS, PAPER_L1_8KB, CacheGeometry, build_cache
 from .trace_input import load_miss_ratios_percent, stream_trace, trace_label
 
 __all__ = [
+    "MIN_STUDY_ACCESSES",
     "MissRatioStudyResult",
     "default_organisations",
     "default_batch_organisations",
     "run_miss_ratio_study",
 ]
+
+#: Shortest synthetic trace, per program, the miss-ratio and replacement
+#: studies accept: below it the ratios are too noisy to compare.
+MIN_STUDY_ACCESSES = 1_000
 
 
 @dataclass
@@ -330,8 +335,9 @@ def run_miss_ratio_study(programs: Optional[Sequence[str]] = None,
         result = MissRatioStudyResult(accesses_per_program=total)
         result.miss_ratios[trace_label(trace)] = load_miss_ratios_percent(caches)
         return result
-    if accesses < 1_000:
-        raise ValueError("accesses should be at least 1000 for stable ratios")
+    if accesses < MIN_STUDY_ACCESSES:
+        raise ValueError(f"accesses should be at least {MIN_STUDY_ACCESSES} "
+                         "for stable ratios")
     program_list = list(programs) if programs is not None else workload_names()
 
     result = MissRatioStudyResult(accesses_per_program=accesses)

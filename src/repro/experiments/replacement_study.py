@@ -48,7 +48,12 @@ from ..engine import (
 from ..trace.batching import cached_workload_arrays
 from ..trace.workloads import build_trace, workload_names
 from .config import PAPER_L1_8KB, CacheGeometry
-from .miss_ratio_study import _batch_factory, _replay_batch, _scalar_factory
+from .miss_ratio_study import (
+    MIN_STUDY_ACCESSES,
+    _batch_factory,
+    _replay_batch,
+    _scalar_factory,
+)
 from .trace_input import load_miss_ratios_percent, stream_trace, trace_label
 
 __all__ = [
@@ -234,8 +239,9 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
             result.miss_ratios[label] = {
                 policy: ratios[(label, policy)] for policy in policy_list}
         return result
-    if accesses < 1_000:
-        raise ValueError("accesses should be at least 1000 for stable ratios")
+    if accesses < MIN_STUDY_ACCESSES:
+        raise ValueError(f"accesses should be at least {MIN_STUDY_ACCESSES} "
+                         "for stable ratios")
     program_list = list(programs) if programs is not None else workload_names()
 
     result = ReplacementStudyResult(accesses_per_program=accesses,

@@ -26,6 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..core.splitmix import SplitMix64
 from .address import log2_exact, page_number, page_offset
 
 __all__ = ["PageTable", "TLB", "Segment", "PageSizePolicy"]
@@ -56,7 +57,7 @@ class PageTable:
         self._allocation = allocation
         self._mapping: Dict[int, int] = {}
         self._next_frame = 0
-        self._state = seed & 0xFFFFFFFFFFFFFFFF or 0xC0FFEE
+        self._scatter = SplitMix64(seed & 0xFFFFFFFFFFFFFFFF or 0xC0FFEE)
         self.page_faults = 0
 
     @property
@@ -69,14 +70,6 @@ class PageTable:
         """Number of virtual pages currently mapped."""
         return len(self._mapping)
 
-    def _next_scatter(self) -> int:
-        # SplitMix64 step: uniform, deterministic, and cheap.
-        self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        return z ^ (z >> 31)
-
     def _allocate_frame(self) -> int:
         if self._allocation == "sequential":
             frame = self._next_frame
@@ -84,7 +77,7 @@ class PageTable:
             return frame
         used = set(self._mapping.values())
         while True:
-            frame = self._next_scatter() & 0xFFFFF  # 2^20 frames = 4 GB of 4K pages
+            frame = self._scatter.next() & 0xFFFFF  # 2^20 frames = 4 GB of 4K pages
             if frame not in used:
                 return frame
 

@@ -3,12 +3,16 @@
 The generators in :mod:`repro.trace.generators` yield
 :class:`~repro.trace.record.MemoryAccess` objects lazily; the batch engine
 wants plain address / store-mask arrays.  :func:`to_arrays` converts any
-trace, and the ``*_arrays`` builders below synthesise the hottest workloads
-directly as arrays — no per-access object is ever created, which matters when
-a sweep needs millions of references per configuration.
+trace.  Two traces are synthesised directly as arrays instead, with no
+per-access object, which matters when a sweep needs millions of references
+per configuration: Figure 1's strided sweeps
+(:func:`strided_vector_arrays`, here) and the Spec95 workload mixtures
+(:func:`~repro.trace.workloads.build_trace_arrays`, behind
+:func:`cached_workload_arrays`).
 
-Array builders are bit-exact with their generator counterparts (asserted in
-``tests/test_engine_equivalence.py``).
+Both array builders are bit-exact with their generator counterparts
+(asserted in ``tests/test_engine_equivalence.py`` and
+``tests/test_trace_workloads.py``).
 
 Sweep-wide trace memoisation
 ----------------------------
@@ -138,16 +142,17 @@ def cached_workload_arrays(name: str, length: int = 100_000,
                            seed: int = 12345) -> _TraceArrays:
     """Materialised ``(addresses, is_write)`` of one synthetic workload.
 
-    Bit-exact with ``to_arrays(build_trace(...))`` for the same parameters;
-    the first call per process builds and caches, later calls return the
-    identical (read-only) arrays.
+    Built by :func:`~repro.trace.workloads.build_trace_arrays` (bit-exact
+    with ``to_arrays(build_trace(...))`` for the same parameters); the first
+    call per process builds and caches, later calls return the identical
+    (read-only) arrays.
     """
-    from .workloads import build_trace
+    from .workloads import build_trace_arrays
 
     key = ("workload", str(name), int(length), int(block_size), int(seed))
     return _trace_cache_get(
-        key, lambda: to_arrays(build_trace(name, length=length,
-                                           block_size=block_size, seed=seed)))
+        key, lambda: build_trace_arrays(name, length=length,
+                                        block_size=block_size, seed=seed))
 
 
 def cached_strided_arrays(stride: int, elements: int = 64,

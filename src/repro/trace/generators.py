@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence
 
+from ..core.splitmix import SplitMix64 as _SplitMix64
 from .record import MemoryAccess
 
 __all__ = [
@@ -37,25 +38,6 @@ __all__ = [
     "random_accesses",
     "interleave",
 ]
-
-
-class _SplitMix64:
-    """Small deterministic PRNG used by all generators (no `random` module)."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & 0xFFFFFFFFFFFFFFFF
-
-    def next(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next() % bound
 
 
 def strided_vector(

@@ -51,6 +51,7 @@ __all__ = [
     "INTEGER_PROGRAMS",
     "FP_PROGRAMS",
     "build_trace",
+    "build_trace_arrays",
     "workload_names",
 ]
 
@@ -167,89 +168,136 @@ def workload_names() -> List[str]:
     return list(WORKLOADS)
 
 
-class _WorkloadState:
-    """Mutable per-component cursors used while generating a workload trace."""
+#: Component layout shared by :func:`build_trace` and
+#: :func:`build_trace_arrays`.  The hot region is offset by 1 KB so that,
+#: under conventional indexing, it occupies different sets from the conflict
+#: component (which sits at the bottom of its arrays); the measured conflict
+#: misses then come only from the conflict component itself.
+_HOT_BASE = 0x0010_0400
+#: Stream component: block-strided, never reused.
+_STREAM_BASE = 0x4000_0000
+#: Conflict component: ``conflict_arrays`` arrays swept in lock-step over a
+#: footprint small enough to be cached.  Arrays are spaced one way-capacity
+#: (4 KB for the paper's 8 KB 2-way cache) apart: under conventional indexing
+#: of the 8 KB cache every array's element i lands in the same set and the
+#: arrays thrash, while a 16 KB conventional cache separates alternate arrays
+#: into two set groups and removes part (but not all) of the conflicts —
+#: mirroring the partial relief Table 2 shows for doubling the cache size.
+_CONFLICT_BASE = 0x0100_0000
+_CONFLICT_SPACING = 4 * 1024
+#: 32 * 8 B = 256 B per array keeps the conflict working set (and its reuse
+#: distance, once the stream component is interleaved) well inside an 8 KB
+#: cache, so these accesses hit under any conflict-avoiding placement and
+#: miss only under conventional placement, where all the arrays collide in
+#: the same handful of sets.
+_CONFLICT_ELEMENTS = 32
+_MEDIUM_BASE = 0x0200_0000
+#: Every draw picks from ``[0, _DRAW_BOUND)``; fractions become thresholds.
+_DRAW_BOUND = 1_000_000
 
-    def __init__(self, spec: WorkloadSpec, block_size: int, seed: int) -> None:
-        self.spec = spec
-        self.rng = _SplitMix64(seed or 1)
-        self.block_size = block_size
-        # Hot component: a small array reused forever.
-        self.hot_slots = max(8, spec.hot_bytes // 8)
-        self.hot_cursor = 0
-        # Offset the hot region by 1 KB so that, under conventional indexing,
-        # it occupies different sets from the conflict component (which sits
-        # at the bottom of its 64 KB-aligned arrays); the measured conflict
-        # misses then come only from the conflict component itself.
-        self.hot_base = 0x0010_0400
-        # Stream component: block-strided, never reused.
-        self.stream_cursor = 0
-        self.stream_base = 0x4000_0000
-        # Conflict component: `conflict_arrays` arrays spaced 64 KB apart,
-        # swept in lock-step over a footprint small enough to be cached.
-        self.conflict_base = 0x0100_0000
-        # Arrays are spaced one way-capacity (4 KB for the paper's 8 KB 2-way
-        # cache) apart: under conventional indexing of the 8 KB cache every
-        # array's element i lands in the same set and the arrays thrash, while
-        # a 16 KB conventional cache separates alternate arrays into two set
-        # groups and removes part (but not all) of the conflicts — mirroring
-        # the partial relief Table 2 shows for doubling the cache size.
-        self.conflict_spacing = 4 * 1024
-        # 32 * 8 B = 256 B per array keeps the conflict working set (and its
-        # reuse distance, once the stream component is interleaved) well
-        # inside an 8 KB cache, so these accesses hit under any
-        # conflict-avoiding placement and miss only under conventional
-        # placement, where all the arrays collide in the same handful of sets.
-        self.conflict_elements = 32
-        self.conflict_cursor = 0
-        self.conflict_array = 0
-        # Medium component: a block-strided loop sized so that its *reuse
-        # distance* (its own blocks plus the stream blocks interleaved between
-        # two visits, plus the hot and conflict sets) lands between the 8 KB
-        # and 16 KB capacities.  It then thrashes in the 8 KB caches under LRU
-        # whatever the index function, but fits — and hits — once the cache is
-        # doubled, reproducing the 8 KB-vs-16 KB gap of the low-conflict
-        # programs.
-        self.medium_base = 0x0200_0000
-        self.medium_cursor = 0
-        hot_blocks = (self.hot_slots * 8 + block_size - 1) // block_size
-        conflict_blocks = (spec.conflict_arrays * self.conflict_elements * 8
+
+@dataclass(frozen=True)
+class _WorkloadGeometry:
+    """Per-(workload, block size) constants of the component mixture."""
+
+    block_size: int
+    conflict_arrays: int
+    #: Hot component: a small array of 8-byte slots reused forever.
+    hot_slots: int
+    #: Medium component: a block-strided loop sized so that its *reuse
+    #: distance* (its own blocks plus the stream blocks interleaved between
+    #: two visits, plus the hot and conflict sets) lands between the 8 KB and
+    #: 16 KB capacities.  It then thrashes in the 8 KB caches under LRU
+    #: whatever the index function, but fits — and hits — once the cache is
+    #: doubled, reproducing the 8 KB-vs-16 KB gap of the low-conflict
+    #: programs.
+    medium_blocks: int
+    #: A component draw below ``conflict_threshold`` picks the conflict
+    #: component, then stream, then medium; anything else is hot.
+    conflict_threshold: int
+    stream_threshold: int
+    medium_threshold: int
+    #: A hot access's second draw below this makes it a store.
+    write_threshold: int
+
+    @classmethod
+    def of(cls, spec: WorkloadSpec, block_size: int) -> "_WorkloadGeometry":
+        hot_slots = max(8, spec.hot_bytes // 8)
+        hot_blocks = (hot_slots * 8 + block_size - 1) // block_size
+        conflict_blocks = (spec.conflict_arrays * _CONFLICT_ELEMENTS * 8
                            + block_size - 1) // block_size
         reuse_target = (14 * 1024) // block_size   # aim between 8 KB and 16 KB
         if spec.medium_fraction > 0:
             dilution = 1.0 + spec.stream_fraction / spec.medium_fraction
             available = max(16, reuse_target - hot_blocks - conflict_blocks)
-            self.medium_blocks = max(16, int(available / dilution))
+            medium_blocks = max(16, int(available / dilution))
         else:
-            self.medium_blocks = 16
+            medium_blocks = 16
+        conflict = int(spec.conflict_fraction * _DRAW_BOUND)
+        stream = conflict + int(spec.stream_fraction * _DRAW_BOUND)
+        medium = stream + int(spec.medium_fraction * _DRAW_BOUND)
+        return cls(block_size=block_size,
+                   conflict_arrays=spec.conflict_arrays,
+                   hot_slots=hot_slots, medium_blocks=medium_blocks,
+                   conflict_threshold=conflict, stream_threshold=stream,
+                   medium_threshold=medium,
+                   write_threshold=int(spec.write_fraction * _DRAW_BOUND))
+
+
+def _checked_spec(name: str, length: int) -> WorkloadSpec:
+    """The named workload's spec; ``ValueError`` for bad arguments."""
+    try:
+        spec = WORKLOADS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown workload {name!r}; known: {', '.join(WORKLOADS)}"
+        ) from None
+    if length < 1:
+        raise ValueError("length must be positive")
+    return spec
+
+
+class _WorkloadState:
+    """Mutable per-component cursors used while generating a workload trace."""
+
+    def __init__(self, geometry: _WorkloadGeometry, seed: int) -> None:
+        self.geometry = geometry
+        self.rng = _SplitMix64(seed or 1)
+        self.hot_cursor = 0
+        self.stream_cursor = 0
+        self.medium_cursor = 0
+        self.conflict_cursor = 0
+        self.conflict_array = 0
 
     def next_hot(self) -> MemoryAccess:
-        address = self.hot_base + (self.hot_cursor % self.hot_slots) * 8
+        geometry = self.geometry
+        address = _HOT_BASE + (self.hot_cursor % geometry.hot_slots) * 8
         self.hot_cursor += 1
-        is_write = (self.rng.below(1_000_000)
-                    < int(self.spec.write_fraction * 1_000_000))
+        is_write = self.rng.below(_DRAW_BOUND) < geometry.write_threshold
         return MemoryAccess(address=address, is_write=is_write, pc=0x100, size=8)
 
     def next_stream(self) -> MemoryAccess:
-        address = self.stream_base + self.stream_cursor * self.block_size
+        block_size = self.geometry.block_size
+        address = _STREAM_BASE + self.stream_cursor * block_size
         self.stream_cursor += 1
         return MemoryAccess(address=address, is_write=False, pc=0x200,
-                            size=self.block_size)
+                            size=block_size)
 
     def next_medium(self) -> MemoryAccess:
-        address = (self.medium_base
-                   + (self.medium_cursor % self.medium_blocks) * self.block_size)
+        geometry = self.geometry
+        address = (_MEDIUM_BASE
+                   + (self.medium_cursor % geometry.medium_blocks)
+                   * geometry.block_size)
         self.medium_cursor += 1
         return MemoryAccess(address=address, is_write=False, pc=0x280,
-                            size=self.block_size)
+                            size=geometry.block_size)
 
     def next_conflict(self) -> MemoryAccess:
-        spec = self.spec
-        address = (self.conflict_base
-                   + self.conflict_array * self.conflict_spacing
-                   + (self.conflict_cursor % self.conflict_elements) * 8)
+        address = (_CONFLICT_BASE
+                   + self.conflict_array * _CONFLICT_SPACING
+                   + (self.conflict_cursor % _CONFLICT_ELEMENTS) * 8)
         self.conflict_array += 1
-        if self.conflict_array >= spec.conflict_arrays:
+        if self.conflict_array >= self.geometry.conflict_arrays:
             self.conflict_array = 0
             self.conflict_cursor += 1
         return MemoryAccess(address=address, is_write=False,
@@ -262,29 +310,85 @@ def build_trace(name: str, length: int = 100_000, block_size: int = 32,
 
     The trace is a probabilistic interleaving of the workload's hot, stream
     and conflict components, using a deterministic PRNG so identical
-    arguments always produce identical traces.
+    arguments always produce identical traces.  This generator is the
+    reference oracle; :func:`build_trace_arrays` produces the same
+    addresses and store mask as NumPy columns.
     """
-    try:
-        spec = WORKLOADS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {name!r}; known: {', '.join(WORKLOADS)}"
-        ) from None
-    if length < 1:
-        raise ValueError("length must be positive")
-
-    state = _WorkloadState(spec, block_size, seed)
-    conflict_threshold = int(spec.conflict_fraction * 1_000_000)
-    stream_threshold = conflict_threshold + int(spec.stream_fraction * 1_000_000)
-    medium_threshold = stream_threshold + int(spec.medium_fraction * 1_000_000)
-
+    geometry = _WorkloadGeometry.of(_checked_spec(name, length), block_size)
+    state = _WorkloadState(geometry, seed)
     for _ in range(length):
-        draw = state.rng.below(1_000_000)
-        if draw < conflict_threshold:
+        draw = state.rng.below(_DRAW_BOUND)
+        if draw < geometry.conflict_threshold:
             yield state.next_conflict()
-        elif draw < stream_threshold:
+        elif draw < geometry.stream_threshold:
             yield state.next_stream()
-        elif draw < medium_threshold:
+        elif draw < geometry.medium_threshold:
             yield state.next_medium()
         else:
             yield state.next_hot()
+
+
+def build_trace_arrays(name: str, length: int = 100_000, block_size: int = 32,
+                       seed: int = 12345):
+    """``(addresses, is_write)`` of :func:`build_trace` as NumPy columns.
+
+    Byte-identical to ``to_arrays(build_trace(...))`` (``uint64`` addresses,
+    ``bool`` store mask) but built from whole-array operations, with no
+    per-access object:
+
+    1. The PRNG stream is counter based, so its draws are computed in bulk.
+       Each access takes one *component* draw; a hot access takes a second,
+       *write* draw right after it.  ``2 * length`` draws cover the all-hot
+       worst case.
+    2. A draw is a write draw exactly when the draw before it was a hot
+       component draw.  Inside each maximal run of hot-valued draws,
+       component and write draws therefore alternate from the run's start,
+       so a run-start scan plus a parity test finds every component draw.
+    3. Each component's cursor is the access's rank among its component's
+       accesses, from which the addresses follow in closed form.
+    """
+    import numpy as np
+
+    from ..core.splitmix import splitmix64_stream
+
+    geometry = _WorkloadGeometry.of(_checked_spec(name, length), block_size)
+    draws = splitmix64_stream(seed or 1, 2 * length) % np.uint64(_DRAW_BOUND)
+    hot = draws >= geometry.medium_threshold
+    index = np.arange(draws.size)
+    starts = hot.copy()
+    starts[1:] &= ~hot[:-1]
+    run_start = np.maximum.accumulate(np.where(starts, index, 0))
+    hot_component = hot & ((index - run_start) % 2 == 0)
+    is_component = np.ones(draws.size, dtype=bool)
+    is_component[1:] = ~hot_component[:-1]
+    positions = np.flatnonzero(is_component)[:length]
+
+    component = np.searchsorted(
+        np.array([geometry.conflict_threshold, geometry.stream_threshold,
+                  geometry.medium_threshold], dtype=np.uint64),
+        draws[positions], side="right")
+    addresses = np.empty(length, dtype=np.uint64)
+    is_write = np.zeros(length, dtype=bool)
+
+    def cursors(which: int):
+        mask = component == which
+        return mask, np.arange(np.count_nonzero(mask), dtype=np.uint64)
+
+    mask, k = cursors(0)
+    arrays = np.uint64(geometry.conflict_arrays)
+    addresses[mask] = (np.uint64(_CONFLICT_BASE)
+                       + k % arrays * np.uint64(_CONFLICT_SPACING)
+                       + k // arrays % np.uint64(_CONFLICT_ELEMENTS)
+                       * np.uint64(8))
+    mask, k = cursors(1)
+    addresses[mask] = (np.uint64(_STREAM_BASE)
+                       + k * np.uint64(block_size))
+    mask, k = cursors(2)
+    addresses[mask] = (np.uint64(_MEDIUM_BASE)
+                       + k % np.uint64(geometry.medium_blocks)
+                       * np.uint64(block_size))
+    mask, k = cursors(3)
+    addresses[mask] = (np.uint64(_HOT_BASE)
+                       + k % np.uint64(geometry.hot_slots) * np.uint64(8))
+    is_write[mask] = draws[positions[mask] + 1] < geometry.write_threshold
+    return addresses, is_write

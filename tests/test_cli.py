@@ -143,6 +143,32 @@ class TestParser:
             build_parser().parse_args(argv)
         assert argv[1] in capsys.readouterr().err  # error names the flag
 
+    @pytest.mark.parametrize("argv", [
+        ["holes", "--accesses", "0"],
+        ["holes", "--accesses", "-40"],
+        ["column-assoc", "--accesses", "0"],
+        ["miss-ratio", "--accesses", "999"],
+        ["miss-ratio", "--accesses", "lots"],
+        ["replacement-study", "--accesses", "10"],
+        ["miss-ratio", "--programs", "nosuch"],
+        ["replacement-study", "--programs", "gcc", "doom"],
+        ["table2", "--programs", "quake"],
+    ])
+    def test_bad_synthesis_inputs_rejected_at_parse_time(self, argv, capsys):
+        """Trace-synthesis inputs die in argparse, not in a sweep worker."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert argv[1] in capsys.readouterr().err  # error names the flag
+
+    @pytest.mark.parametrize("command", ["miss-ratio", "replacement-study",
+                                         "table2"])
+    def test_programs_accept_every_workload(self, command):
+        from repro.trace.workloads import workload_names
+        args = build_parser().parse_args(
+            [command, "--programs", *workload_names()])
+        assert args.programs == workload_names()
+
     def test_holes_options(self):
         args = build_parser().parse_args(
             ["holes", "--accesses", "5000", "--l2-kilobytes", "64", "256",
@@ -261,6 +287,20 @@ class TestExecution:
         assert "Holes per L2 miss" in outputs[0]
         # Same numbers from both engines: the table is byte-identical.
         assert outputs[0] == outputs[1]
+
+
+    @pytest.mark.parametrize("argv", [
+        ["holes", "--accesses", "0"],
+        ["miss-ratio", "--programs", "nosuch"],
+    ])
+    def test_bad_input_exits_2_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and argv[1] in errors[0]
 
 
 class TestVirtualRealExample:

@@ -1,9 +1,14 @@
 """Tests for the synthetic Spec95-like trace workload models."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import FullyAssociativeCache, SetAssociativeCache
 from repro.core import make_index_function
+from repro.trace import workloads
+from repro.trace.batching import to_arrays
 from repro.trace.workloads import (
     FP_PROGRAMS,
     HIGH_CONFLICT_PROGRAMS,
@@ -12,6 +17,7 @@ from repro.trace.workloads import (
     WORKLOADS,
     WorkloadSpec,
     build_trace,
+    build_trace_arrays,
     workload_names,
 )
 
@@ -111,3 +117,93 @@ class TestBehaviouralShape:
                 full.access(access.address, is_write=access.is_write)
             ipoly = miss_ratio(name, 8 * 1024, "a2-Hp-Sk")
             assert ipoly <= full.stats.load_miss_ratio + 0.06
+
+
+# --------------------------------------------------------------------- #
+# array-native builder: byte-identical with the generator
+# --------------------------------------------------------------------- #
+
+GRID_SEEDS = [0, 1, 999, *range(1000, 1006), 12345]
+GRID_BLOCK_SIZES = [16, 32, 64]
+SHORT_LENGTHS = [1, 2, 3001]
+LONG_LENGTH = 40_000
+
+
+def assert_same_arrays(name, length, block_size, seed):
+    expected = to_arrays(build_trace(name, length=length,
+                                     block_size=block_size, seed=seed))
+    got = build_trace_arrays(name, length=length, block_size=block_size,
+                             seed=seed)
+    for want, have in zip(expected, got):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes(), (name, length, block_size,
+                                                  seed)
+
+
+class TestArrayBuilder:
+    @pytest.mark.parametrize("name", workload_names())
+    def test_matches_generator_on_short_grid(self, name):
+        """Every seed x block size at lengths 1, 2 and 3001."""
+        for seed in GRID_SEEDS:
+            for block_size in GRID_BLOCK_SIZES:
+                for length in SHORT_LENGTHS:
+                    assert_same_arrays(name, length, block_size, seed)
+
+    @pytest.mark.parametrize("name", workload_names())
+    @pytest.mark.parametrize("block_size", GRID_BLOCK_SIZES)
+    def test_matches_generator_at_full_length(self, name, block_size):
+        """40k accesses, one grid seed per cell, rotating so every seed is
+        covered at full length; the rest of the 40k grid is ``slow``."""
+        cell = (workload_names().index(name) * len(GRID_BLOCK_SIZES)
+                + GRID_BLOCK_SIZES.index(block_size))
+        assert_same_arrays(name, LONG_LENGTH, block_size,
+                           GRID_SEEDS[cell % len(GRID_SEEDS)])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", workload_names())
+    def test_matches_generator_on_full_grid(self, name):
+        for seed in GRID_SEEDS:
+            for block_size in GRID_BLOCK_SIZES:
+                assert_same_arrays(name, LONG_LENGTH, block_size, seed)
+
+    @settings(deadline=None, max_examples=40)
+    @given(name=st.sampled_from(workload_names()),
+           length=st.integers(1, 5000),
+           seed=st.integers(0, (1 << 64) - 1),
+           block_size=st.sampled_from([8, 16, 32, 64, 128]))
+    def test_matches_generator_property(self, name, length, seed, block_size):
+        assert_same_arrays(name, length, block_size, seed)
+
+    def test_all_hot_workload_uses_every_draw(self, monkeypatch):
+        """All fractions 0: every access is hot and takes two draws, the
+        worst case the builder's 2 * length draw budget must cover."""
+        monkeypatch.setitem(workloads.WORKLOADS, "gcc", WorkloadSpec(
+            "gcc", conflict_fraction=0.0, stream_fraction=0.0,
+            write_fraction=0.5))
+        for length in (1, 2, 3001):
+            assert_same_arrays("gcc", length, 32, 7)
+        addresses, writes = build_trace_arrays("gcc", length=3001, seed=7)
+        assert addresses.min() >= 0x0010_0400
+        assert addresses.max() < 0x0010_0400 + 2048
+        assert 0 < writes.sum() < writes.size
+
+    def test_hot_free_workload_never_writes(self, monkeypatch):
+        monkeypatch.setitem(workloads.WORKLOADS, "gcc", WorkloadSpec(
+            "gcc", conflict_fraction=0.5, stream_fraction=0.5))
+        assert_same_arrays("gcc", 3001, 32, 7)
+        assert not build_trace_arrays("gcc", length=3001, seed=7)[1].any()
+
+    def test_arrays_are_fresh_and_writable(self):
+        first = build_trace_arrays("swim", length=100)
+        second = build_trace_arrays("swim", length=100)
+        assert first[0] is not second[0]
+        assert first[0].flags.writeable and first[1].flags.writeable
+
+    @pytest.mark.parametrize("name, length", [("doom", 10), ("gcc", 0),
+                                              ("gcc", -5)])
+    def test_rejects_what_the_generator_rejects(self, name, length):
+        with pytest.raises(ValueError) as generator_error:
+            list(build_trace(name, length=length))
+        with pytest.raises(ValueError) as builder_error:
+            build_trace_arrays(name, length=length)
+        assert str(builder_error.value) == str(generator_error.value)
