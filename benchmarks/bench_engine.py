@@ -10,11 +10,10 @@ agreement, so the performance claim can never drift away from correctness.
 Every row is bounded — no organisation is merely "tracked" any more:
 
 * the LRU batch paths must stay >= 10x over scalar on every index family;
-* the set-decomposed replacement kernels (FIFO, random, PLRU) must stay
-  >= 10x over scalar on the conventional organisation;
-* the skew-decomposed kernels (FIFO, random, PLRU on skewed I-Poly
-  placement) and the decomposed victim kernels (all four policies) must
-  also stay >= 10x over scalar;
+* the 2-way trace-order replacement kernels (FIFO, random, PLRU;
+  ``skew-decomposed-*``) must stay >= 10x over scalar on the conventional
+  organisation and on skewed I-Poly placement, and the decomposed victim
+  kernels (all four policies) must also stay >= 10x over scalar;
 * the multi-level compositions — the inclusive two-level hierarchy and the
   virtual-real hierarchy with a TLB-fronted page table — must stay >= 10x
   over the per-access scalar protocols (bit-exact per-level CacheStats,
@@ -111,10 +110,9 @@ STRIDE = 67
 #: Minimum vectorized-over-scalar throughput ratio for the LRU fast paths.
 REQUIRED_SPEEDUP = 10.0
 
-#: Minimum ratio for the set-decomposed replacement kernels on the
-#: conventional organisation, the skew-decomposed kernels on skewed
-#: placement, and the decomposed victim kernels (same bar as LRU — the
-#: point of these layers).
+#: Minimum ratio for the 2-way trace-order replacement kernels on the
+#: conventional and the skewed organisation, and the decomposed victim
+#: kernels (same bar as LRU — the point of these layers).
 REQUIRED_SPEEDUP_POLICY = 10.0
 
 #: Minimum one-pass-profiler-over-per-config ratio on the conventional-LRU
@@ -556,7 +554,7 @@ def compare_fifo_grid(accesses=BENCH_ENGINE_ACCESSES, check_scalar=False):
 
     Both sides drive :func:`repro.engine.run_lru_grid` with
     ``replacement="fifo"`` over the same workload trace —
-    ``profile="never"`` runs each configuration's set-decomposed FIFO
+    ``profile="never"`` runs each configuration's per-config FIFO
     kernel, ``profile="always"`` prices the whole grid out of one
     occurrence-list pass plus a miss-driven event replay per cell.  Every
     cell must agree exactly (FIFO profiling is exact, not sampled), with an
@@ -890,7 +888,8 @@ def test_engine_throughput(benchmark, scheme):
 @pytest.mark.benchmark(group="engine-policy")
 @pytest.mark.parametrize("policy", POLICY_ROWS)
 def test_policy_kernel_throughput(benchmark, policy):
-    """Set-decomposed kernels hold the same bar as the LRU fast paths."""
+    """The 2-way trace-order kernels hold the same bar as the LRU fast
+    paths on the conventional organisation."""
     trace = _build_trace(BENCH_ENGINE_ACCESSES)
     scalar, batch = _make_caches("a2", replacement=policy)
 
@@ -914,14 +913,15 @@ def test_policy_kernel_throughput(benchmark, policy):
           f"({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
         assert speedup >= REQUIRED_SPEEDUP_POLICY, (
-            f"a2/{policy}: set-decomposed kernel only {speedup:.1f}x over "
-            f"scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
+            f"a2/{policy}: 2-way trace-order kernel only {speedup:.1f}x "
+            f"over scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
 
 
 @pytest.mark.benchmark(group="engine-skew-policy")
 @pytest.mark.parametrize("policy", POLICY_ROWS)
 def test_skew_policy_kernel_throughput(benchmark, policy):
-    """Skew-decomposed kernels hold the same bar on skewed placement."""
+    """The 2-way trace-order kernels hold the same bar on skewed
+    placement."""
     trace = _build_trace(BENCH_ENGINE_ACCESSES)
     scalar, batch = _make_caches("a2-Hp-Sk", replacement=policy)
 
@@ -945,8 +945,8 @@ def test_skew_policy_kernel_throughput(benchmark, policy):
           f"({speedup:.1f}x)")
     if len(trace) >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
         assert speedup >= REQUIRED_SPEEDUP_POLICY, (
-            f"a2-Hp-Sk/{policy}: skew-decomposed kernel only {speedup:.1f}x "
-            f"over scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
+            f"a2-Hp-Sk/{policy}: 2-way trace-order kernel only "
+            f"{speedup:.1f}x over scalar (required {REQUIRED_SPEEDUP_POLICY}x)")
 
 
 @pytest.mark.benchmark(group="engine-victim")
@@ -1097,7 +1097,8 @@ def main(argv=None):
         if check_bounds:
             assert row["speedup"] >= REQUIRED_SPEEDUP, (
                 f"{row['scheme']}: only {row['speedup']:.1f}x")
-    # Set-decomposed kernels on the conventional organisation: bounded.
+    # 2-way trace-order kernels on the conventional organisation (one set
+    # list for both ways): bounded.
     for policy in POLICY_ROWS:
         row = compare_engines("a2", accesses=accesses, replacement=policy)
         rows.append(row)
@@ -1105,7 +1106,8 @@ def main(argv=None):
         if check_bounds:
             assert row["speedup"] >= REQUIRED_SPEEDUP_POLICY, (
                 f"a2/{policy}: only {row['speedup']:.1f}x")
-    # Skew-decomposed kernels on the skewed organisation: bounded.
+    # The same 2-way trace-order kernels on the skewed organisation:
+    # bounded.
     for policy in POLICY_ROWS:
         row = compare_engines("a2-Hp-Sk", accesses=accesses,
                               replacement=policy)
@@ -1132,7 +1134,7 @@ def main(argv=None):
             assert row["speedup"] >= REQUIRED_SPEEDUP, (
                 f"{label}: only {row['speedup']:.1f}x")
     if check_bounds:
-        print(f"\nevery row (LRU fast paths, set-decomposed, skew-decomposed, "
+        print(f"\nevery row (LRU fast paths, 2-way trace-order policy, "
               f"victim and multi-level kernels) >= {REQUIRED_SPEEDUP:.0f}x "
               f"with bit-exact CacheStats")
     else:

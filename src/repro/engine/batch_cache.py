@@ -9,7 +9,7 @@ bit-exact with the scalar models by construction (the differential suite in
 ``tests/test_engine_equivalence.py`` asserts identical hit/miss sequences and
 identical final :class:`~repro.cache.stats.CacheStats`).
 
-Five execution strategies, picked automatically per cache configuration
+Seven execution strategies, picked automatically per cache configuration
 and batch:
 
 1. **Fully vectorized** (non-skewed, <= 2 ways, LRU, load-only batch, cold
@@ -31,29 +31,30 @@ and batch:
    and displaced-block-retreat behaviour of
    :class:`~repro.cache.column_assoc.ColumnAssociativeCache` exactly.
 
-4. **Set-decomposed replacement kernels** (non-skewed, non-LRU, no 3C
-   classifier): the ``replacement`` parameter accepts the same short names
-   as the scalar caches (``lru``, ``fifo``, ``random``, ``plru``); on a
-   conventional (non-skewed) organisation the non-LRU policies run the
-   policy-specific kernels of :mod:`repro.engine.set_decompose` — accesses
-   grouped per set, dense local state, FIFO hit-transparency, a precomputed
-   vectorized ``splitmix64`` draw table for random — bit-exact with the
-   scalar policies (including identical deterministic random-victim
-   sequences).  LRU keeps the specialised fast paths above.
+4. **Two-way trace-order replacement kernels** (2-way non-LRU, skewed or
+   conventional, no 3C classifier): the ``replacement`` parameter accepts
+   the same short names as the scalar caches (``lru``, ``fifo``,
+   ``random``, ``plru``); the non-LRU policies run one policy-specialised
+   loop each from :mod:`repro.engine.skew_decompose` — per-way index
+   streams memoised as lists (a conventional cache passes its one set list
+   for both ways), inline stamp/bit-tree decisions, precomputed
+   ``splitmix64`` draw tables — bit-exact with the scalar policies
+   (including identical deterministic random-victim sequences).  LRU keeps
+   the specialised fast paths above.
 
-5. **Skew-decomposed replacement kernels** (skewed non-LRU, no 3C
-   classifier): the policy-specialised trace-order kernels of
-   :mod:`repro.engine.skew_decompose` — per-way index streams memoised as
-   lists, inline stamp/bit-tree decisions, precomputed ``splitmix64`` draw
-   tables — sharing state tables with the generic kernel below.
+5. **Set-decomposed replacement kernels** (conventional non-LRU caches of
+   one or at least three ways, no 3C classifier): the kernels of
+   :mod:`repro.engine.set_decompose` — a per-set resident dict for an O(1)
+   probe at any associativity (fully-associative FIFO/random/PLRU stays
+   tractable), FIFO hit-transparency, set-grouped replay.
 
 6. **Generic replacement kernel** (any non-LRU cache with the 3C
    classifier enabled, whose capacity/conflict split needs the classifier
-   called in global trace order with per-access hit context; also any
-   future policy the specialised kernels do not know): a per-way flat-list
-   kernel whose decisions come from the NumPy-backed state tables in
+   called in global trace order with per-access hit context; skewed caches
+   wider than two ways): a per-way flat-list kernel whose decisions come
+   from the NumPy-backed state tables in
    :mod:`repro.engine.replacement_vec`.  It shares those state tables with
-   the decomposed kernels, so any of them can serve the same cache
+   the specialised kernels, so any of them can serve the same cache
    interchangeably — and the differential suite pits them against each
    other as well as against the scalar models.
 
@@ -62,9 +63,10 @@ and batch:
    pre-vectorized indices, replicating
    :class:`~repro.cache.victim.VictimCache` — swap-on-victim-hit, displaced
    lines stashed in the buffer, dirty lines falling out of the buffer
-   counted as writebacks — exactly.  Main caches of one or two ways run
-   the decomposed victim kernels of :mod:`repro.engine.skew_decompose`;
-   wider main caches keep the generic loop.
+   counted as writebacks — exactly.  A direct-mapped main cache (Jouppi's
+   geometry) runs the decomposed victim kernels of
+   :mod:`repro.engine.skew_decompose`; wider main caches keep the generic
+   loop.
 
 Every cache exposes ``dispatch_strategy(batch)`` — the name of the kernel
 ``run`` will execute — as the dispatcher's single source of truth, which
@@ -389,12 +391,14 @@ class BatchSetAssociativeCache:
         exactly this value, so tests can introspect which kernel serves a
         given (organisation, policy, batch) combination.  Possible values:
 
-        * ``"set-decomposed-{fifo,random,plru}"`` — non-skewed non-LRU,
-          no classifier (:mod:`repro.engine.set_decompose`);
-        * ``"skew-decomposed-{fifo,random,plru}"`` — skewed non-LRU, no
-          classifier (:mod:`repro.engine.skew_decompose`);
+        * ``"skew-decomposed-{fifo,random,plru}"`` — 2-way non-LRU, skewed
+          or conventional, no classifier: the trace-order 2-way loops of
+          :mod:`repro.engine.skew_decompose`;
+        * ``"set-decomposed-{fifo,random,plru}"`` — conventional non-LRU of
+          one or at least three ways, no classifier
+          (:mod:`repro.engine.set_decompose`);
         * ``"generic-policy-kernel"`` — any other non-LRU configuration
-          (3C classifier, unknown future policy);
+          (3C classifier, skewed wider than two ways);
         * ``"lru-run-collapse"`` — the fully vectorized LRU fast path
           (non-skewed, <= 2 ways, cold cache, load-only batch);
         * ``"lru-skewed-2way"`` / ``"lru-skewed-generic"`` — the skewed
@@ -406,10 +410,10 @@ class BatchSetAssociativeCache:
             if self._classifier is not None:
                 return "generic-policy-kernel"
             name = self._vec_policy.name
-            if name not in ("fifo", "random", "plru"):
-                return "generic-policy-kernel"
-            if self._skewed:
+            if self._ways == 2:
                 return f"skew-decomposed-{name}"
+            if self._skewed:
+                return "generic-policy-kernel"
             return f"set-decomposed-{name}"
         if (not self._skewed and self._ways <= 2 and self._classifier is None
                 and self._clock == 0 and not batch.has_stores):
@@ -777,7 +781,7 @@ class BatchSetAssociativeCache:
                 stats.miss_kinds[kind] += count
         return np.array(hits_l, dtype=bool)
 
-    # -- strategy 4: generic replacement kernel (any skew, non-LRU) ------ #
+    # -- strategy 6: generic replacement kernel (any skew, non-LRU) ------ #
 
     def _run_policy_kernel(self, blocks: np.ndarray,
                            is_write: np.ndarray) -> np.ndarray:
@@ -1203,12 +1207,12 @@ class BatchVictimCache:
     def dispatch_strategy(self, batch: AddressBatch) -> str:
         """Name of the kernel :meth:`run` would execute for ``batch``.
 
-        ``"victim-decomposed-{lru,fifo,random,plru}"`` for a 1- or 2-way
+        ``"victim-decomposed-{lru,fifo,random,plru}"`` for a direct-mapped
         main cache (the decomposed kernels of
         :mod:`repro.engine.skew_decompose`, with the buffer as a dense
         side-structure); ``"victim-generic-kernel"`` for wider main caches.
         """
-        if self._ways <= 2:
+        if self._ways == 1:
             return f"victim-decomposed-{self._replacement_name}"
         return "victim-generic-kernel"
 
@@ -1240,7 +1244,7 @@ class BatchVictimCache:
                             is_write: np.ndarray) -> np.ndarray:
         """The retained per-access victim kernel (any geometry, any policy).
 
-        Serves main caches wider than two ways, and remains the reference
+        Serves main caches of two or more ways, and remains the reference
         implementation the differential suite pits the decomposed victim
         kernels of :mod:`repro.engine.skew_decompose` against.
         """

@@ -52,7 +52,7 @@ def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
     would produce one at a time.  Because the random policy's draws are a
     pure function of the eviction ordinal, a whole batch's worth of victim
     picks can be precomputed up front and consumed by index; this is what
-    lets the set-decomposed random kernel stay bit-exact with the scalar
+    lets the specialised random kernels stay bit-exact with the scalar
     victim sequence without calling into Python per eviction.
     """
     if count < 0:
@@ -186,8 +186,8 @@ class _VecTimestamp(VecReplacementState):
     def stamp_lists(self) -> List[List[int]]:
         """Checked-out per-way timestamp rows (valid inside a kernel).
 
-        The set-decomposed kernels in :mod:`repro.engine.set_decompose`
-        mutate these rows directly instead of going through the per-access
+        The specialised kernels of :mod:`repro.engine.set_decompose` and
+        :mod:`repro.engine.skew_decompose` mutate these rows directly instead of going through the per-access
         hooks; :meth:`kernel_end` persists whatever they left behind.
         """
         if not self._in_kernel:

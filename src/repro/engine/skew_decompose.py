@@ -1,4 +1,4 @@
-"""Skew-aware decomposed replacement kernels: skewed caches + victim caches.
+"""Trace-order replacement kernels: 2-way caches + victim caches.
 
 :mod:`repro.engine.set_decompose` exploits the independence of the sets of a
 *conventional* cache: group accesses per set, simulate each group over dense
@@ -40,16 +40,19 @@ which the differential suite asserts state-table-for-state-table.
 
 Two kernel families:
 
-* :func:`run_skew_decomposed_policy` — skewed
-  :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` with a
-  non-LRU policy (LRU keeps its dedicated skewed fast paths): tight 2-way
-  specialisations for the paper's geometry plus dense generic-ways variants.
-  Caches with the 3C classifier stay on the generic kernel (the
-  capacity/conflict split needs the classifier called in global order with
-  per-access hit context).
+* :func:`run_skew_decomposed_policy` — every 2-way classifier-free
+  :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` with a FIFO,
+  random or PLRU policy, skewed *or conventional* (LRU keeps its dedicated
+  fast paths).  A conventional cache is a skewed cache whose two ways
+  share one set list, so it runs the same three loops with its one
+  memoised set list passed for both ways (at two ways a probe is two tag
+  compares either way, and set grouping won too little to keep a second
+  copy of each loop).  Wider skewed caches and caches with the 3C
+  classifier stay on the generic kernel (the capacity/conflict split needs
+  the classifier called in global order with per-access hit context).
 * :func:`run_victim_decomposed` — :class:`~repro.engine.batch_cache.BatchVictimCache`
-  with a 1-way (Jouppi's geometry) or 2-way main cache, any policy, skewed
-  or conventional main indexing.  The victim buffer is carried as a dense
+  with a 1-way main cache (Jouppi's geometry), any policy, skewed or
+  conventional main indexing.  The victim buffer is carried as a dense
   side-structure probed with C-level list scans (``in`` / ``index`` over a
   handful of entries), swap-on-victim-hit and displaced-block insertion
   replicated from the generic kernel bit-exactly.  Wider main caches keep
@@ -69,39 +72,26 @@ __all__ = ["run_skew_decomposed_policy", "run_victim_decomposed"]
 
 
 # --------------------------------------------------------------------- #
-# skewed set-associative caches
+# two-way set-associative caches (skewed or conventional)
 # --------------------------------------------------------------------- #
 
 def run_skew_decomposed_policy(cache, blocks: np.ndarray,
                                is_write: np.ndarray) -> np.ndarray:
-    """Run one batch through the skew-decomposed kernel for the cache's policy.
+    """Run one batch through the 2-way trace-order kernel for the cache's policy.
 
-    ``cache`` is a skewed, classifier-free
+    ``cache`` is a 2-way, classifier-free
     :class:`~repro.engine.batch_cache.BatchSetAssociativeCache` with a bound
-    non-LRU policy.  Mutates the cache's tag/dirty stores and policy state
-    tables exactly like the generic kernel and returns the per-access hit
-    mask.
+    FIFO, random or PLRU policy.  A skewed cache feeds each way its own
+    set-index list; a conventional cache is the special case whose two ways
+    share one set list, so it passes its one memoised list as both.
+    Mutates the cache's tag/dirty stores and policy state tables exactly
+    like the generic kernel and returns the per-access hit mask.
     """
-    name = cache._vec_policy.name
-    if name == "fifo":
-        kernels = (_skew_fifo_2way, _skew_fifo_ways)
-    elif name == "random":
-        kernels = (_skew_random_2way, _skew_random_ways)
-    elif name == "plru":
-        kernels = (_skew_plru_2way, _skew_plru_ways)
-    else:
-        # Unknown policy (future-proofing): the generic kernel handles
-        # anything that implements the VecReplacementState protocol.
-        return cache._run_policy_kernel(blocks, is_write)
-    way_lists = [cached_set_index_lists(cache._vec_index, blocks, w)
-                 for w in range(cache._ways)]
-    blocks_l = blocks.tolist()
-    writes_l = is_write.tolist()
-    if cache._ways == 2:
-        hits_l = kernels[0](cache, blocks_l, way_lists[0], way_lists[1],
-                            writes_l)
-    else:
-        hits_l = kernels[1](cache, blocks_l, way_lists, writes_l)
+    s0_l = cached_set_index_lists(cache._vec_index, blocks, 0)
+    s1_l = (cached_set_index_lists(cache._vec_index, blocks, 1)
+            if cache._skewed else s0_l)
+    kernel = _TWO_WAY_KERNELS[cache._vec_policy.name]
+    hits_l = kernel(cache, blocks.tolist(), s0_l, s1_l, is_write.tolist())
     n = blocks.shape[0]
     stores = int(is_write.sum())
     cache._clock += n
@@ -325,215 +315,11 @@ def _skew_plru_2way(cache, blocks_l, s0_l, s1_l, writes_l):
     return hits_l
 
 
-def _skew_fifo_ways(cache, blocks_l, way_lists, writes_l):
-    policy = cache._vec_policy
-    write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-    ways = cache._ways
-    way_range = range(ways)
-    tags = cache._way_tags
-    dirty = cache._way_dirty
-    clock = cache._clock
-    stats = cache.stats
-    hits_l = []
-    ha = hits_l.append
-    load_misses = store_misses = evictions = writebacks = 0
-
-    policy.kernel_begin()
-    try:
-        stamp = policy.stamp_lists
-        for i, b in enumerate(blocks_l):
-            clock += 1
-            w = writes_l[i]
-            hit = False
-            for wy in way_range:
-                s = way_lists[wy][i]
-                if tags[wy][s] == b:
-                    hit = True
-                    if w and write_back:
-                        dirty[wy][s] = True
-                    break
-            if hit:
-                ha(True)
-                continue
-            ha(False)
-            if w:
-                store_misses += 1
-                if not write_back:
-                    continue
-            else:
-                load_misses += 1
-            target = -1
-            for wy in way_range:
-                if tags[wy][way_lists[wy][i]] < 0:
-                    target = wy
-                    break
-            if target < 0:
-                best = None
-                for wy in way_range:
-                    value = stamp[wy][way_lists[wy][i]]
-                    if best is None or value < best:
-                        best = value
-                        target = wy
-                s = way_lists[target][i]
-                evictions += 1
-                if dirty[target][s]:
-                    writebacks += 1
-            s = way_lists[target][i]
-            tags[target][s] = b
-            dirty[target][s] = w and write_back
-            stamp[target][s] = clock
-    finally:
-        policy.kernel_end()
-
-    stats.load_misses += load_misses
-    stats.store_misses += store_misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    return hits_l
-
-
-def _skew_random_ways(cache, blocks_l, way_lists, writes_l):
-    policy = cache._vec_policy
-    write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-    ways = cache._ways
-    way_range = range(ways)
-    tags = cache._way_tags
-    dirty = cache._way_dirty
-    stats = cache.stats
-    picks_l = (splitmix64_array(policy.seed, policy.counter, len(blocks_l))
-               % np.uint64(ways)).tolist()
-    pe = 0
-    hits_l = []
-    ha = hits_l.append
-    load_misses = store_misses = evictions = writebacks = 0
-
-    for i, b in enumerate(blocks_l):
-        w = writes_l[i]
-        hit = False
-        for wy in way_range:
-            s = way_lists[wy][i]
-            if tags[wy][s] == b:
-                hit = True
-                if w and write_back:
-                    dirty[wy][s] = True
-                break
-        if hit:
-            ha(True)
-            continue
-        ha(False)
-        if w:
-            store_misses += 1
-            if not write_back:
-                continue
-        else:
-            load_misses += 1
-        target = -1
-        for wy in way_range:
-            if tags[wy][way_lists[wy][i]] < 0:
-                target = wy
-                break
-        if target < 0:
-            target = picks_l[pe]
-            pe += 1
-            s = way_lists[target][i]
-            evictions += 1
-            if dirty[target][s]:
-                writebacks += 1
-        s = way_lists[target][i]
-        tags[target][s] = b
-        dirty[target][s] = w and write_back
-
-    policy.counter += pe
-    stats.load_misses += load_misses
-    stats.store_misses += store_misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    return hits_l
-
-
-def _skew_plru_ways(cache, blocks_l, way_lists, writes_l):
-    policy = cache._vec_policy
-    write_back = cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE
-    ways = cache._ways
-    way_range = range(ways)
-    tags = cache._way_tags
-    dirty = cache._way_dirty
-    clock = cache._clock
-    stats = cache.stats
-    touch = plru_touch
-    pick = plru_victim
-    tree = ways >= 2
-    hits_l = []
-    ha = hits_l.append
-    load_misses = store_misses = evictions = writebacks = 0
-
-    policy.kernel_begin()
-    try:
-        bits_l = policy.bit_lists
-        stamp = policy.stamp_lists
-        for i, b in enumerate(blocks_l):
-            clock += 1
-            w = writes_l[i]
-            hit_way = -1
-            for wy in way_range:
-                s = way_lists[wy][i]
-                if tags[wy][s] == b:
-                    hit_way = wy
-                    break
-            if hit_way >= 0:
-                ha(True)
-                stamp[hit_way][s] = clock
-                if tree:
-                    touch(bits_l[s], hit_way, ways)
-                if w and write_back:
-                    dirty[hit_way][s] = True
-                continue
-            ha(False)
-            if w:
-                store_misses += 1
-                if not write_back:
-                    continue
-            else:
-                load_misses += 1
-            target = -1
-            for wy in way_range:
-                if tags[wy][way_lists[wy][i]] < 0:
-                    target = wy
-                    break
-            if target < 0:
-                first = way_lists[0][i]
-                shared = True
-                for wy in way_range:
-                    if way_lists[wy][i] != first:
-                        shared = False
-                        break
-                if shared:
-                    target = pick(bits_l[first], ways)
-                else:
-                    best = None
-                    for wy in way_range:
-                        value = stamp[wy][way_lists[wy][i]]
-                        if best is None or value < best:
-                            best = value
-                            target = wy
-                s = way_lists[target][i]
-                evictions += 1
-                if dirty[target][s]:
-                    writebacks += 1
-            s = way_lists[target][i]
-            tags[target][s] = b
-            dirty[target][s] = w and write_back
-            stamp[target][s] = clock
-            if tree:
-                touch(bits_l[s], target, ways)
-    finally:
-        policy.kernel_end()
-
-    stats.load_misses += load_misses
-    stats.store_misses += store_misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    return hits_l
+_TWO_WAY_KERNELS = {
+    "fifo": _skew_fifo_2way,
+    "random": _skew_random_2way,
+    "plru": _skew_plru_2way,
+}
 
 
 # --------------------------------------------------------------------- #
@@ -545,36 +331,23 @@ def run_victim_decomposed(cache, blocks: np.ndarray,
     """Run one batch through the decomposed victim kernel for the cache's policy.
 
     ``cache`` is a :class:`~repro.engine.batch_cache.BatchVictimCache` with a
-    1- or 2-way main cache (skewed or conventional).  Mutates main/buffer
-    tag stores, both policies' state tables and both clocks exactly like the
-    generic victim kernel and returns the per-access overall hit mask.
+    1-way main cache (Jouppi's geometry; its one index function may be a
+    skewing rehash).  Mutates main/buffer tag stores, both policies' state
+    tables and both clocks exactly like the generic victim kernel and
+    returns the per-access overall hit mask.
     """
     name = cache._replacement_name
-    way_lists = [cached_set_index_lists(cache._vec_index, blocks, w)
-                 for w in range(cache._ways if cache._skewed else 1)]
+    sets_l = cached_set_index_lists(cache._vec_index, blocks, 0)
     blocks_l = blocks.tolist()
     writes_l = is_write.tolist()
-    if cache._ways == 1:
-        if name in ("lru", "fifo"):
-            hits_l = _victim_stamp_1way(cache, blocks_l, way_lists[0],
-                                        writes_l, name == "lru")
-        elif name == "random":
-            hits_l = _victim_random_1way(cache, blocks_l, way_lists[0],
-                                         writes_l)
-        else:
-            hits_l = _victim_plru_1way(cache, blocks_l, way_lists[0],
-                                       writes_l)
+    if name == "random":
+        hits_l = _victim_random_1way(cache, blocks_l, sets_l, writes_l)
     else:
-        s0_l = way_lists[0]
-        s1_l = way_lists[-1] if cache._skewed else way_lists[0]
-        if name in ("lru", "fifo"):
-            hits_l = _victim_stamp_2way(cache, blocks_l, s0_l, s1_l,
-                                        writes_l, name == "lru")
-        elif name == "random":
-            hits_l = _victim_random_2way(cache, blocks_l, s0_l, s1_l,
-                                         writes_l)
-        else:
-            hits_l = _victim_plru_2way(cache, blocks_l, s0_l, s1_l, writes_l)
+        # A 1-way tree has no direction bits (plru_touch is a no-op below
+        # two ways), so PLRU keeps only its LRU-fallback stamps: LRU and
+        # PLRU refresh the stamp on a hit, FIFO does not.
+        hits_l = _victim_stamp_1way(cache, blocks_l, sets_l, writes_l,
+                                    name != "fifo")
     n = blocks.shape[0]
     stores = int(is_write.sum())
     stats = cache.stats
@@ -767,246 +540,6 @@ def _victim_random_1way(cache, blocks_l, sets_l, writes_l):
         main_policy.counter += main_evictions
 
     _finish_victim(cache, main_clock + len(blocks_l), main_hits, victim_hits,
-                   load_misses, store_misses)
-    return hits_l
-
-
-def _victim_plru_1way(cache, blocks_l, sets_l, writes_l):
-    # A 1-way tree has no direction bits (plru_touch is a no-op below two
-    # ways); only the LRU-fallback stamps are maintained.
-    return _victim_stamp_1way(cache, blocks_l, sets_l, writes_l, True)
-
-
-def _victim_stamp_2way(cache, blocks_l, s0_l, s1_l, writes_l,
-                       refresh_on_hit):
-    t0, t1 = cache._way_tags
-    d0, d1 = cache._way_dirty
-    vtags = cache._victim_tags
-    main_policy = cache._main_policy
-    main_clock = cache._main_clock
-    hits_l = []
-    ha = hits_l.append
-    load_misses = store_misses = main_hits = victim_hits = 0
-
-    main_policy.kernel_begin()
-    buffer = None
-    try:
-        buffer = _VictimBuffer(cache, cache._replacement_name, len(blocks_l))
-        stamp0, stamp1 = main_policy.stamp_lists
-        for b, sa, sb, w in zip(blocks_l, s0_l, s1_l, writes_l):
-            main_clock += 1
-            if t0[sa] == b:
-                if refresh_on_hit:
-                    stamp0[sa] = main_clock
-                if w:
-                    d0[sa] = True
-                main_hits += 1
-                ha(True)
-                continue
-            if t1[sb] == b:
-                if refresh_on_hit:
-                    stamp1[sb] = main_clock
-                if w:
-                    d1[sb] = True
-                main_hits += 1
-                ha(True)
-                continue
-            victim_hit = b in vtags
-            ha(victim_hit)
-            if victim_hit:
-                victim_hits += 1
-                slot = vtags.index(b)
-                vtags[slot] = -1
-                cache._victim_dirty[slot] = False
-            elif w:
-                store_misses += 1
-            else:
-                load_misses += 1
-            fill_dirty = bool(w)
-            if t0[sa] < 0:
-                t0[sa] = b
-                d0[sa] = fill_dirty
-                stamp0[sa] = main_clock
-                continue
-            if t1[sb] < 0:
-                t1[sb] = b
-                d1[sb] = fill_dirty
-                stamp1[sb] = main_clock
-                continue
-            if stamp0[sa] <= stamp1[sb]:
-                evicted = t0[sa]
-                evicted_dirty = d0[sa]
-                t0[sa] = b
-                d0[sa] = fill_dirty
-                stamp0[sa] = main_clock
-            else:
-                evicted = t1[sb]
-                evicted_dirty = d1[sb]
-                t1[sb] = b
-                d1[sb] = fill_dirty
-                stamp1[sb] = main_clock
-            buffer.stash(evicted, evicted_dirty)
-    finally:
-        if buffer is not None:
-            buffer.close(cache)
-        main_policy.kernel_end()
-
-    _finish_victim(cache, main_clock, main_hits, victim_hits,
-                   load_misses, store_misses)
-    return hits_l
-
-
-def _victim_random_2way(cache, blocks_l, s0_l, s1_l, writes_l):
-    t0, t1 = cache._way_tags
-    d0, d1 = cache._way_dirty
-    vtags = cache._victim_tags
-    main_policy = cache._main_policy
-    picks_l = (splitmix64_array(main_policy.seed, main_policy.counter,
-                                len(blocks_l)) % np.uint64(2)).astype(
-                                    bool).tolist()
-    pe = 0
-    hits_l = []
-    ha = hits_l.append
-    load_misses = store_misses = main_hits = victim_hits = 0
-
-    buffer = _VictimBuffer(cache, "random", len(blocks_l))
-    try:
-        for b, sa, sb, w in zip(blocks_l, s0_l, s1_l, writes_l):
-            if t0[sa] == b:
-                if w:
-                    d0[sa] = True
-                main_hits += 1
-                ha(True)
-                continue
-            if t1[sb] == b:
-                if w:
-                    d1[sb] = True
-                main_hits += 1
-                ha(True)
-                continue
-            victim_hit = b in vtags
-            ha(victim_hit)
-            if victim_hit:
-                victim_hits += 1
-                slot = vtags.index(b)
-                vtags[slot] = -1
-                cache._victim_dirty[slot] = False
-            elif w:
-                store_misses += 1
-            else:
-                load_misses += 1
-            fill_dirty = bool(w)
-            if t0[sa] < 0:
-                t0[sa] = b
-                d0[sa] = fill_dirty
-                continue
-            if t1[sb] < 0:
-                t1[sb] = b
-                d1[sb] = fill_dirty
-                continue
-            if picks_l[pe]:
-                pe += 1
-                evicted = t1[sb]
-                evicted_dirty = d1[sb]
-                t1[sb] = b
-                d1[sb] = fill_dirty
-            else:
-                pe += 1
-                evicted = t0[sa]
-                evicted_dirty = d0[sa]
-                t0[sa] = b
-                d0[sa] = fill_dirty
-            buffer.stash(evicted, evicted_dirty)
-    finally:
-        buffer.close(cache)
-        main_policy.counter += pe
-
-    _finish_victim(cache, cache._main_clock + len(blocks_l), main_hits,
-                   victim_hits, load_misses, store_misses)
-    return hits_l
-
-
-def _victim_plru_2way(cache, blocks_l, s0_l, s1_l, writes_l):
-    t0, t1 = cache._way_tags
-    d0, d1 = cache._way_dirty
-    vtags = cache._victim_tags
-    main_policy = cache._main_policy
-    main_clock = cache._main_clock
-    hits_l = []
-    ha = hits_l.append
-    load_misses = store_misses = main_hits = victim_hits = 0
-
-    main_policy.kernel_begin()
-    buffer = None
-    flat = None
-    try:
-        buffer = _VictimBuffer(cache, "plru", len(blocks_l))
-        bits_l = main_policy.bit_lists
-        stamp0, stamp1 = main_policy.stamp_lists
-        flat = [row[0] for row in bits_l]
-        for b, sa, sb, w in zip(blocks_l, s0_l, s1_l, writes_l):
-            main_clock += 1
-            if t0[sa] == b:
-                stamp0[sa] = main_clock
-                flat[sa] = True
-                if w:
-                    d0[sa] = True
-                main_hits += 1
-                ha(True)
-                continue
-            if t1[sb] == b:
-                stamp1[sb] = main_clock
-                flat[sb] = False
-                if w:
-                    d1[sb] = True
-                main_hits += 1
-                ha(True)
-                continue
-            victim_hit = b in vtags
-            ha(victim_hit)
-            if victim_hit:
-                victim_hits += 1
-                slot = vtags.index(b)
-                vtags[slot] = -1
-                cache._victim_dirty[slot] = False
-            elif w:
-                store_misses += 1
-            else:
-                load_misses += 1
-            fill_dirty = bool(w)
-            if t0[sa] < 0:
-                target = 0
-            elif t1[sb] < 0:
-                target = 1
-            elif sa == sb:
-                target = 1 if flat[sa] else 0
-            else:
-                target = 0 if stamp0[sa] <= stamp1[sb] else 1
-            if target:
-                evicted = t1[sb]
-                evicted_dirty = d1[sb]
-                t1[sb] = b
-                d1[sb] = fill_dirty
-                stamp1[sb] = main_clock
-                flat[sb] = False
-            else:
-                evicted = t0[sa]
-                evicted_dirty = d0[sa]
-                t0[sa] = b
-                d0[sa] = fill_dirty
-                stamp0[sa] = main_clock
-                flat[sa] = True
-            if evicted >= 0:
-                buffer.stash(evicted, evicted_dirty)
-    finally:
-        if flat is not None:
-            for s, value in enumerate(flat):
-                bits_l[s][0] = value
-        if buffer is not None:
-            buffer.close(cache)
-        main_policy.kernel_end()
-
-    _finish_victim(cache, main_clock, main_hits, victim_hits,
                    load_misses, store_misses)
     return hits_l
 

@@ -27,8 +27,11 @@ deadlines, seeded-backoff retries, collect-instead-of-abort, and
 checkpoint/resume through a sweep journal); the first three additionally
 take ``--profile {auto,always,never}`` (route profilable conventional-LRU
 rows through the one-pass multi-configuration profiler — bit-exact in every
-mode).  ``--replacement {lru,fifo,random,plru}`` selects
-the replacement policy on the trace-level cache experiments;
+mode) or ``--profile sampled`` (approximate SHARDS-sampled LRU profiles,
+vectorized engine only; ``--sample-rate``, ``--sample-size`` and
+``--profile-seed`` tune it and are refused without it).
+``--replacement {lru,fifo,random,plru}`` selects the replacement policy on
+the trace-level cache experiments;
 ``replacement-study`` sweeps all four policies across conventional, skewed
 and victim organisations at once.
 
@@ -42,10 +45,11 @@ the vectorized engine so memory stays bounded for arbitrarily long traces.
 from __future__ import annotations
 
 import argparse
+import os
 from typing import List, Optional
 
 from ..cache.replacement import REPLACEMENT_POLICIES
-from ..engine import ENGINES, ON_ERROR_POLICIES, PROFILE_MODES
+from ..engine import ENGINE_REFERENCE, ENGINES, ON_ERROR_POLICIES, PROFILE_MODES
 from ..trace.workloads import workload_names
 from .column_assoc_study import run_column_assoc_study
 from .critical_path import run_critical_path_study
@@ -53,7 +57,7 @@ from .figure1 import run_figure1
 from .holes_study import run_holes_study
 from .miss_ratio_study import MIN_STUDY_ACCESSES, run_miss_ratio_study
 from .replacement_study import run_replacement_study
-from .table2 import miss_ratio_std_dev, run_table2
+from .table2 import MIN_INSTRUCTIONS, miss_ratio_std_dev, run_table2
 from .table3 import run_table3
 
 __all__ = ["main", "build_parser"]
@@ -79,6 +83,26 @@ _nonnegative_int = _int_at_least(0)
 _positive_int = _int_at_least(1)
 #: The miss-ratio and replacement studies refuse shorter synthetic traces.
 _study_accesses = _int_at_least(MIN_STUDY_ACCESSES, " for stable ratios")
+#: Table 2 and Table 3 refuse shorter instruction streams.
+_instructions = _int_at_least(MIN_INSTRUCTIONS, " for stable results")
+
+
+def _l2_kilobytes(text: str) -> int:
+    """Argparse type: an L2 size in KB the hole model accepts — a power of
+    two (power-of-two sets) no smaller than the 8 KB L1 (the model needs at
+    least as many L2 sets as L1 sets)."""
+    value = _int_at_least(8, " (the L1 size)")(text)
+    if value & (value - 1):
+        raise argparse.ArgumentTypeError(
+            f"must be a power of two, got {value}")
+    return value
+
+
+def _existing_file(text: str) -> str:
+    """Argparse type: the path of an existing regular file."""
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"no such file: {text!r}")
+    return text
 
 
 def _positive_float(text: str) -> float:
@@ -103,6 +127,38 @@ def _unit_rate(text: str) -> float:
     return value
 
 
+#: Knobs that only mean something under ``--profile sampled``, with the
+#: values they take there when not given.
+_SAMPLING_DEFAULTS = {"sample_rate": 0.01, "sample_size": None,
+                      "profile_seed": 0}
+
+
+class _DriverParser(argparse.ArgumentParser):
+    """Sub-command parser that also rejects flag combinations its driver
+    would silently ignore, with the same one-line usage error (exit code 2)
+    as a bad value."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if hasattr(namespace, "profile"):
+            self._check_sampling(namespace)
+        return namespace, extras
+
+    def _check_sampling(self, namespace: argparse.Namespace) -> None:
+        if namespace.profile == "sampled":
+            if namespace.engine == ENGINE_REFERENCE:
+                self.error("--profile sampled needs --engine vectorized (the "
+                           "reference engine only runs the exact models)")
+        else:
+            for dest in _SAMPLING_DEFAULTS:
+                if getattr(namespace, dest) is not None:
+                    flag = "--" + dest.replace("_", "-")
+                    self.error(f"{flag} needs --profile sampled")
+        for dest, default in _SAMPLING_DEFAULTS.items():
+            if getattr(namespace, dest) is None:
+                setattr(namespace, dest, default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed separately for testing)."""
     parser = argparse.ArgumentParser(
@@ -110,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the experiments of 'The Design and Performance "
                     "of a Conflict-Avoiding Cache' (MICRO-30, 1997).",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
+    sub = parser.add_subparsers(dest="experiment", required=True,
+                                parser_class=_DriverParser)
 
     def add_engine(parser_: argparse.ArgumentParser) -> None:
         parser_.add_argument("--engine", choices=list(ENGINES),
@@ -160,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   "bit-exact — or sampled (approximate "
                                   "SHARDS-sampled LRU profiles)")
         parser_.add_argument("--sample-rate", dest="sample_rate",
-                             type=_unit_rate, default=0.01,
+                             type=_unit_rate, default=None,
                              help="profile=sampled: spatial sampling rate in "
-                                  "(0, 1]; 1.0 degenerates to the exact "
-                                  "profile")
+                                  "(0, 1] (default 0.01); 1.0 degenerates to "
+                                  "the exact profile")
         parser_.add_argument("--sample-size", dest="sample_size",
                              type=_positive_int, default=None,
                              help="profile=sampled: cap the expected sample "
@@ -171,13 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
                                   "SHARDS; lowers the effective rate on "
                                   "long traces)")
         parser_.add_argument("--profile-seed", dest="profile_seed",
-                             type=_nonnegative_int, default=0,
+                             type=_nonnegative_int, default=None,
                              help="profile=sampled: seed of the spatial hash "
-                                  "(same seed + rate => bit-identical "
-                                  "sampled results)")
+                                  "(default 0; same seed + rate => "
+                                  "bit-identical sampled results)")
 
     def add_trace(parser_: argparse.ArgumentParser) -> None:
-        parser_.add_argument("--trace", default=None, metavar="FILE",
+        parser_.add_argument("--trace", type=_existing_file, default=None,
+                             metavar="FILE",
                              help="replay this recorded trace instead of the "
                                   "synthetic workloads (packed v2, optionally "
                                   ".gz/.bz2/.xz/.zst-compressed, v1 "
@@ -195,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: all 18)")
 
     figure1 = sub.add_parser("figure1", help="Figure 1 stride sweep")
-    figure1.add_argument("--max-stride", type=int, default=1024)
-    figure1.add_argument("--stride-step", type=int, default=4)
-    figure1.add_argument("--sweeps", type=int, default=8)
+    figure1.add_argument("--max-stride", type=_int_at_least(2), default=1024)
+    figure1.add_argument("--stride-step", type=_positive_int, default=4)
+    figure1.add_argument("--sweeps", type=_positive_int, default=8)
     add_sweep_options(figure1, unit="strides")
     add_engine(figure1)
     add_replacement(figure1)
@@ -205,14 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace(figure1)
 
     table2 = sub.add_parser("table2", help="Table 2 IPC / miss-ratio sweep")
-    table2.add_argument("--instructions", type=int, default=12_000)
+    table2.add_argument("--instructions", type=_instructions, default=12_000)
     add_programs(table2)
     table2.add_argument("--csv", action="store_true")
     add_sweep_options(table2, unit="programs")
     add_engine(table2)
 
     table3 = sub.add_parser("table3", help="Table 3 high-conflict breakdown")
-    table3.add_argument("--instructions", type=int, default=12_000)
+    table3.add_argument("--instructions", type=_instructions, default=12_000)
     add_sweep_options(table3, unit="programs")
     add_engine(table3)
 
@@ -240,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     holes = sub.add_parser("holes", help="Section 3.3 hole model vs simulation")
     holes.add_argument("--accesses", type=_positive_int, default=40_000)
-    holes.add_argument("--l2-kilobytes", nargs="*", type=int, default=[256, 1024])
+    holes.add_argument("--l2-kilobytes", nargs="+", type=_l2_kilobytes,
+                       default=[256, 1024])
     holes.add_argument("--seed", type=int, default=999,
                        help="seed shared by the trace models and the "
                             "scatter-allocating page table")

@@ -38,7 +38,11 @@ from ..engine.sweep import TaskFailure, run_sweep
 from ..trace.workloads import FP_PROGRAMS, INTEGER_PROGRAMS
 from .config import TABLE2_CONFIGS
 
-__all__ = ["Table2Result", "run_table2", "miss_ratio_std_dev"]
+__all__ = ["MIN_INSTRUCTIONS", "Table2Result", "run_table2",
+           "miss_ratio_std_dev"]
+
+#: Table 2/3 refuse shorter instruction streams (unstable IPC and miss ratios).
+MIN_INSTRUCTIONS = 1_000
 
 #: Columns that report IPC (the others report miss ratio).
 IPC_COLUMNS: List[str] = list(TABLE2_CONFIGS)
@@ -174,8 +178,9 @@ def run_table2(programs: Optional[Sequence[str]] = None,
     ``on_error="collect"`` a failed program lands in ``result.failures``
     instead of the tables.
     """
-    if instructions < 1_000:
-        raise ValueError("instructions should be at least 1000 for stable results")
+    if instructions < MIN_INSTRUCTIONS:
+        raise ValueError(f"instructions should be at least {MIN_INSTRUCTIONS} "
+                         "for stable results")
     from ..engine import check_engine
     engine = check_engine(engine)
     program_list = list(programs) if programs is not None else program_names()

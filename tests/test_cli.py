@@ -86,16 +86,18 @@ class TestParser:
 
     @pytest.mark.parametrize("command", ["figure1", "miss-ratio",
                                          "replacement-study"])
-    def test_trace_options_parity(self, command):
+    def test_trace_options_parity(self, command, tmp_path):
         """--trace/--trace-chunk exist on every trace-replaying command
         and default to the synthetic suite."""
+        recorded = tmp_path / "recorded.ctr"
+        recorded.write_bytes(b"")
         parser = build_parser()
         defaults = parser.parse_args([command])
         assert defaults.trace is None
         assert defaults.trace_chunk == 1 << 20
         args = parser.parse_args(
-            [command, "--trace", "recorded.ctr", "--trace-chunk", "4096"])
-        assert args.trace == "recorded.ctr"
+            [command, "--trace", str(recorded), "--trace-chunk", "4096"])
+        assert args.trace == str(recorded)
         assert args.trace_chunk == 4096
 
     @pytest.mark.parametrize("argv", [
@@ -119,12 +121,18 @@ class TestParser:
         assert defaults.sample_size is None
         assert defaults.profile_seed == 0
         args = parser.parse_args(
-            [command, "--profile", "sampled", "--sample-rate", "0.05",
-             "--sample-size", "4096", "--profile-seed", "7"])
+            [command, "--engine", "vectorized", "--profile", "sampled",
+             "--sample-rate", "0.05", "--sample-size", "4096",
+             "--profile-seed", "7"])
         assert args.profile == "sampled"
         assert args.sample_rate == 0.05
         assert args.sample_size == 4096
         assert args.profile_seed == 7
+        args = parser.parse_args(
+            [command, "--engine", "vectorized", "--profile", "sampled",
+             "--profile-seed", "3"])
+        assert (args.sample_rate, args.sample_size, args.profile_seed) == (
+            0.01, None, 3)
 
     @pytest.mark.parametrize("argv", [
         ["figure1", "--sample-rate", "0"],
@@ -135,12 +143,25 @@ class TestParser:
         ["replacement-study", "--sample-size", "-8"],
         ["figure1", "--profile-seed", "-1"],
         ["miss-ratio", "--profile-seed", "x"],
+        # The reference engine has no sampled path.
+        ["figure1", "--engine", "reference", "--profile", "sampled"],
+        ["miss-ratio", "--profile", "sampled"],
+        ["replacement-study", "--engine", "reference", "--profile",
+         "sampled"],
+        # Sampling knobs without --profile sampled would be ignored.
+        ["figure1", "--sample-rate", "0.5"],
+        ["miss-ratio", "--sample-size", "64", "--engine", "vectorized"],
+        ["replacement-study", "--profile-seed", "3", "--profile", "always"],
+        ["figure1", "--sample-rate", "0.5", "--engine", "vectorized",
+         "--profile", "never"],
     ])
     def test_bad_sampling_values_rejected_at_parse_time(self, argv, capsys):
-        """Invalid sampling knobs die in argparse (clear usage error),
-        never deep inside a driver or the plan constructor."""
-        with pytest.raises(SystemExit):
+        """Invalid or ignored sampling knobs die in argparse (clear usage
+        error), never deep inside a driver or the plan constructor, and
+        never silently."""
+        with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
         assert argv[1] in capsys.readouterr().err  # error names the flag
 
     @pytest.mark.parametrize("argv", [
@@ -153,9 +174,23 @@ class TestParser:
         ["miss-ratio", "--programs", "nosuch"],
         ["replacement-study", "--programs", "gcc", "doom"],
         ["table2", "--programs", "quake"],
+        ["figure1", "--max-stride", "0"],
+        ["figure1", "--stride-step", "0"],
+        ["figure1", "--sweeps", "0"],
+        ["table2", "--instructions", "0"],
+        ["table2", "--instructions", "999"],
+        ["table3", "--instructions", "-5"],
+        ["holes", "--l2-kilobytes", "0"],
+        ["holes", "--l2-kilobytes", "256", "100"],
+        ["holes", "--l2-kilobytes", "4"],
+        ["holes", "--l2-kilobytes"],
+        ["figure1", "--trace", "/nonexistent/trace.ctr"],
+        ["miss-ratio", "--trace", "/nonexistent/trace.ctr"],
+        ["replacement-study", "--trace", "."],
     ])
     def test_bad_synthesis_inputs_rejected_at_parse_time(self, argv, capsys):
-        """Trace-synthesis inputs die in argparse, not in a sweep worker."""
+        """Trace-synthesis and driver inputs die in argparse, not in a
+        driver or a sweep worker."""
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
@@ -292,6 +327,17 @@ class TestExecution:
     @pytest.mark.parametrize("argv", [
         ["holes", "--accesses", "0"],
         ["miss-ratio", "--programs", "nosuch"],
+        ["figure1", "--max-stride", "0"],
+        ["table2", "--instructions", "0"],
+        ["table3", "--instructions", "-5"],
+        ["holes", "--l2-kilobytes", "0"],
+        ["figure1", "--trace", "/nonexistent"],
+        ["miss-ratio", "--trace", "/nonexistent"],
+        ["replacement-study", "--trace", "/nonexistent"],
+        ["figure1", "--engine", "reference", "--profile", "sampled"],
+        ["miss-ratio", "--sample-rate", "0.5"],
+        ["replacement-study", "--sample-size", "64"],
+        ["figure1", "--profile-seed", "1"],
     ])
     def test_bad_input_exits_2_with_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -301,6 +347,31 @@ class TestExecution:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and argv[1] in errors[0]
+
+
+#: Small driver runs whose output must be byte-identical under both
+#: engines: every kernel the vectorized engine dispatches to, end to end.
+CROSS_ENGINE_RUNS = [
+    ["figure1", "--max-stride", "64"],
+    *[["miss-ratio", "--accesses", "2000", "--programs", "gcc", "swim",
+       "--replacement", policy] for policy in ("lru", "fifo", "random",
+                                               "plru")],
+    ["replacement-study", "--accesses", "2000", "--programs", "gcc", "swim"],
+    ["table2", "--instructions", "1000", "--programs", "gcc"],
+    ["table3", "--instructions", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", CROSS_ENGINE_RUNS, ids=" ".join)
+def test_every_driver_prints_the_same_bytes_under_both_engines(argv, capsys):
+    """The end-to-end guard of kernel routing: each driver's printed report
+    is byte-identical under the reference and the vectorized engine."""
+    outputs = []
+    for engine in ("reference", "vectorized"):
+        assert main([*argv, "--engine", engine]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].strip()
+    assert outputs[0] == outputs[1]
 
 
 class TestVirtualRealExample:

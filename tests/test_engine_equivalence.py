@@ -11,6 +11,9 @@ The small configurations run in tier-1; the deep sweeps (longer traces, more
 geometry combinations) are marked ``slow`` and run with ``pytest -m slow``.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -238,19 +241,19 @@ def test_victim_cache_with_skewed_main_and_stores(policy):
 
 
 # --------------------------------------------------------------------- #
-# set-decomposed kernels vs the retained generic kernel
+# conventional 2-way caches: the trace-order kernels vs the generic kernel
 # --------------------------------------------------------------------- #
 
-#: The non-LRU policies served by the set-decomposed kernel layer.
+#: The non-LRU policies served by the specialised replacement kernels.
 DECOMPOSED_POLICIES = ("fifo", "random", "plru")
 
-#: Non-skewed schemes (the decomposition precondition).
+#: Non-skewed schemes (their two ways share one set list).
 NON_SKEWED_SCHEMES = ("a2", "a2-Hp")
 
 
 def run_via_generic_kernel(batch_cache, trace):
     """Replay a trace through the retained generic policy kernel directly,
-    bypassing the set-decomposed dispatch — the differential reference."""
+    bypassing the specialised dispatch — the differential reference."""
     batch = batch_of(trace)
     blocks = batch.block_numbers(batch_cache.block_size)
     return batch_cache._run_policy_kernel(blocks, batch.is_write)
@@ -271,44 +274,51 @@ def assert_policy_state_equal(left, right):
 @pytest.mark.parametrize("trace_name", POLICY_TRACES)
 @pytest.mark.parametrize("scheme", NON_SKEWED_SCHEMES)
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
-class TestSetDecomposedVsGenericKernel:
-    """The set-decomposed kernels and the generic kernel are interchangeable:
-    same hits, same stats, same resident blocks — and the same policy state
-    tables afterwards, so either kernel can continue the other's cache."""
+class TestConventionalTwoWayVsGenericKernel:
+    """A conventional 2-way cache runs the trace-order 2-way kernels with
+    one set list for both ways.  They, the generic kernel and the scalar
+    model are interchangeable: same hits, same stats, same resident blocks
+    — and the same policy state tables afterwards, so either kernel can
+    continue the other's cache."""
+
+    def check(self, policy, scheme, trace_name, write_policy):
+        trace = list(TRACES[trace_name]())
+        scalar, dispatched = build_pair(scheme, replacement=policy,
+                                        write_policy=write_policy)
+        _, generic = build_pair(scheme, replacement=policy,
+                                write_policy=write_policy)
+        batch = batch_of(trace)
+        assert dispatched.dispatch_strategy(batch) == (
+            f"skew-decomposed-{policy}")
+        ref_hits = scalar_hit_sequence(scalar, trace)
+        dec_hits = dispatched.run(batch)
+        gen_hits = run_via_generic_kernel(generic, trace)
+        np.testing.assert_array_equal(ref_hits, dec_hits)
+        np.testing.assert_array_equal(dec_hits, gen_hits)
+        assert stats_snapshot(scalar.stats) == stats_snapshot(dispatched.stats)
+        assert stats_snapshot(dispatched.stats) == stats_snapshot(generic.stats)
+        assert sorted(scalar.resident_blocks()) == sorted(
+            dispatched.resident_blocks())
+        assert dispatched._way_tags == generic._way_tags
+        assert dispatched._way_dirty == generic._way_dirty
+        assert_policy_state_equal(dispatched, generic)
 
     def test_write_through(self, policy, scheme, trace_name):
-        trace = list(TRACES[trace_name]())
-        _, decomposed = build_pair(scheme, replacement=policy)
-        _, generic = build_pair(scheme, replacement=policy)
-        dec_hits = decomposed.run(batch_of(trace))
-        gen_hits = run_via_generic_kernel(generic, trace)
-        np.testing.assert_array_equal(dec_hits, gen_hits)
-        assert stats_snapshot(decomposed.stats) == stats_snapshot(generic.stats)
-        assert sorted(decomposed.resident_blocks()) == sorted(
-            generic.resident_blocks())
-        assert_policy_state_equal(decomposed, generic)
+        self.check(policy, scheme, trace_name,
+                   WritePolicy.WRITE_THROUGH_NO_ALLOCATE)
 
     def test_write_back(self, policy, scheme, trace_name):
-        trace = list(TRACES[trace_name]())
-        _, decomposed = build_pair(
+        self.check(policy, scheme, trace_name,
+                   WritePolicy.WRITE_BACK_ALLOCATE)
+
+    def test_kernel_handoff_mid_stream(self, policy, scheme, trace_name):
+        """A batch run by the generic kernel, then one by the trace-order
+        kernel, continues bit-exactly from the shared state tables (and
+        leaves the same tables as an all-generic cache)."""
+        scalar, batch = build_pair(
             scheme, replacement=policy,
             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
         _, generic = build_pair(
-            scheme, replacement=policy,
-            write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
-        dec_hits = decomposed.run(batch_of(trace))
-        gen_hits = run_via_generic_kernel(generic, trace)
-        np.testing.assert_array_equal(dec_hits, gen_hits)
-        assert stats_snapshot(decomposed.stats) == stats_snapshot(generic.stats)
-        assert decomposed.stats.writebacks == generic.stats.writebacks
-        assert sorted(decomposed.resident_blocks()) == sorted(
-            generic.resident_blocks())
-        assert_policy_state_equal(decomposed, generic)
-
-    def test_kernel_handoff_mid_stream(self, policy, scheme, trace_name):
-        """A batch run by the generic kernel, then one by the decomposed
-        kernel, continues bit-exactly from the shared state tables."""
-        scalar, batch = build_pair(
             scheme, replacement=policy,
             write_policy=WritePolicy.WRITE_BACK_ALLOCATE)
         trace = list(TRACES[trace_name]())
@@ -317,21 +327,25 @@ class TestSetDecomposedVsGenericKernel:
         ref_hits = scalar_hit_sequence(scalar, trace)
         vec_hits = np.concatenate([
             run_via_generic_kernel(batch, first),
-            batch.run(batch_of(second)),      # decomposed continues
+            batch.run(batch_of(second)),      # trace-order kernel continues
         ])
+        run_via_generic_kernel(generic, first)
+        run_via_generic_kernel(generic, second)
         np.testing.assert_array_equal(ref_hits, vec_hits)
         assert stats_snapshot(scalar.stats) == stats_snapshot(batch.stats)
         assert sorted(scalar.resident_blocks()) == sorted(
             batch.resident_blocks())
+        assert_policy_state_equal(batch, generic)
 
 
 # --------------------------------------------------------------------- #
-# skew-decomposed kernels vs the generic kernel vs the scalar engine
+# skewed caches: the dispatched kernel vs the generic kernel vs the scalar
+# engine
 # --------------------------------------------------------------------- #
 
 def build_three_way_skewed_pair(replacement,
                                 write_policy=WritePolicy.WRITE_BACK_ALLOCATE):
-    """A (scalar, batch) 3-way skewed I-Poly pair (generic-ways kernels)."""
+    """A (scalar, batch) 3-way skewed I-Poly pair (generic policy kernel)."""
     return build_pair("a2-Hp-Sk", ways=3, size=3 * 64 * 32,
                       replacement=replacement, write_policy=write_policy)
 
@@ -385,10 +399,11 @@ def assert_victim_matches_scalar(scalar, batch_cache):
 @pytest.mark.parametrize("trace_name", POLICY_TRACES)
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
 class TestSkewDecomposedVsGenericKernel:
-    """The skew-decomposed kernels, the retained generic kernel and the
-    scalar engine agree on skewed placement: same hits, same stats, same
-    resident blocks — and the same policy state tables afterwards, so any
-    kernel can continue any other's cache."""
+    """On skewed placement the dispatched kernel (the trace-order 2-way
+    loops at two ways, the generic kernel at three), the generic kernel and
+    the scalar engine agree: same hits, same stats, same resident blocks —
+    and the same policy state tables afterwards, so any kernel can continue
+    any other's cache."""
 
     def test_two_way_skewed(self, policy, trace_name):
         trace = list(TRACES[trace_name]())
@@ -413,6 +428,8 @@ class TestSkewDecomposedVsGenericKernel:
         trace = list(TRACES[trace_name]())
         scalar, decomposed = build_three_way_skewed_pair(policy)
         _, generic = build_three_way_skewed_pair(policy)
+        assert decomposed.dispatch_strategy(batch_of(trace)) == (
+            "generic-policy-kernel")
         ref_hits = scalar_hit_sequence(scalar, trace)
         dec_hits = decomposed.run(batch_of(trace))
         gen_hits = run_via_generic_kernel(generic, trace)
@@ -454,9 +471,10 @@ class TestSkewDecomposedVsGenericKernel:
 @pytest.mark.parametrize("ways", [1, 2])
 @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
 class TestVictimDecomposedVsGenericKernel:
-    """The decomposed victim kernels, the retained generic victim kernel
-    and the scalar model agree for 1- and 2-way main caches, all four
-    policies — including the full durable state both engines leave behind."""
+    """The dispatched victim kernel (decomposed for a 1-way main, generic
+    for a 2-way main), the retained generic victim kernel and the scalar
+    model agree for all four policies — including the full durable state
+    both engines leave behind."""
 
     def test_three_paths_agree(self, policy, ways, trace_name):
         trace = list(TRACES[trace_name]())
@@ -532,52 +550,100 @@ def test_lru_skewed_two_way_vs_generic_ways_kernel():
 # dispatcher introspection: every (kernel, policy, organisation) path
 # --------------------------------------------------------------------- #
 
+def benchmark_strategy_names():
+    """The kernel names the end-to-end benchmark's per-layer tracer accounts
+    for (``perfbench/layers.STRATEGIES``), loaded from the file itself."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return set(module.STRATEGIES)
+
+
 def test_dispatch_strategy_covers_every_kernel_path():
     """`dispatch_strategy` names the kernel `run` executes, for every
     (organisation, policy, batch) combination the dispatcher distinguishes —
-    and the strategy-for-strategy behaviour matches the scalar engine."""
+    and the strategy-for-strategy behaviour matches the scalar engine.
+
+    Every name returned is one the benchmark's tracer accounts for, and
+    together they cover all of them but the column-associative kernel, so
+    renaming or dropping a kernel fails here rather than in a traced
+    benchmark run."""
     loads = list(strided_vector(17, elements=64, sweeps=2))
     mixed = list(random_accesses(2000, 32 * 1024, write_fraction=0.3))
 
+    def fully_associative_pair(policy):
+        return (FullyAssociativeCache(2048, 32, replacement=policy),
+                BatchSetAssociativeCache(2048, 32, ways=2048 // 32,
+                                         index_function=SingleSetIndexing(),
+                                         replacement=policy))
+
     expectations = []
     for policy in ("fifo", "random", "plru"):
+        # Two ways, conventional or skewed: the trace-order 2-way loops.
         expectations.append(
             (build_pair("a2", replacement=policy), mixed,
-             f"set-decomposed-{policy}"))
+             f"skew-decomposed-{policy}"))
+        expectations.append(
+            (build_pair("a2-Hp", replacement=policy), mixed,
+             f"skew-decomposed-{policy}"))
         expectations.append(
             (build_pair("a2-Hp-Sk", replacement=policy), mixed,
              f"skew-decomposed-{policy}"))
+        # One or >= 3 conventional ways: the set-decomposed dict kernels.
+        expectations.append(
+            (build_pair("a2", ways=1, replacement=policy), mixed,
+             f"set-decomposed-{policy}"))
+        expectations.append(
+            (build_pair("a2", ways=4, replacement=policy), mixed,
+             f"set-decomposed-{policy}"))
+        expectations.append(
+            (fully_associative_pair(policy), mixed,
+             f"set-decomposed-{policy}"))
+        # Wider skewed caches and classifying caches: the generic kernel.
+        expectations.append(
+            (build_pair("a2-Hp-Sk", ways=4, replacement=policy), mixed,
+             "generic-policy-kernel"))
         expectations.append(
             (build_pair("a2", replacement=policy, classify=True), mixed,
              "generic-policy-kernel"))
-        expectations.append(
-            (build_pair("a2-Hp-Sk", ways=4, replacement=policy), mixed,
-             f"skew-decomposed-{policy}"))
     expectations.append((build_pair("a2"), loads, "lru-run-collapse"))
     expectations.append((build_pair("a2"), mixed, "lru-dict"))
     expectations.append((build_pair("a2-Hp-Sk"), mixed, "lru-skewed-2way"))
     expectations.append(
         (build_pair("a2-Hp-Sk", ways=4), mixed, "lru-skewed-generic"))
 
+    known = benchmark_strategy_names()
+    seen = set()
     for (scalar, batch_cache), trace, expected in expectations:
         batch = batch_of(trace)
-        assert batch_cache.dispatch_strategy(batch) == expected
+        strategy = batch_cache.dispatch_strategy(batch)
+        assert strategy == expected
+        assert strategy in known
+        seen.add(strategy)
         assert_equivalent(scalar, batch_cache, trace)
 
     for ways, policy, expected in [
         (1, "lru", "victim-decomposed-lru"),
         (1, "fifo", "victim-decomposed-fifo"),
-        (2, "random", "victim-decomposed-random"),
-        (2, "plru", "victim-decomposed-plru"),
+        (1, "random", "victim-decomposed-random"),
+        (1, "plru", "victim-decomposed-plru"),
+        (2, "random", "victim-generic-kernel"),
+        (2, "plru", "victim-generic-kernel"),
         (4, "lru", "victim-generic-kernel"),
     ]:
         scalar, batch_cache = build_victim_pair(ways, policy)
         batch = batch_of(mixed)
-        assert batch_cache.dispatch_strategy(batch) == expected
+        strategy = batch_cache.dispatch_strategy(batch)
+        assert strategy == expected
+        assert strategy in known
+        seen.add(strategy)
         ref_hits = scalar_hit_sequence(scalar, mixed)
         vec_hits = batch_cache.run(batch)
         np.testing.assert_array_equal(ref_hits, vec_hits)
         assert_victim_matches_scalar(scalar, batch_cache)
+
+    assert seen == known - {"column-assoc"}
 
 
 def test_lru_run_collapse_is_batch_dependent():
@@ -592,32 +658,42 @@ def test_lru_run_collapse_is_batch_dependent():
 
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
 def test_decomposed_dispatch_conditions(policy, monkeypatch):
-    """Non-skewed, classifier-free, non-LRU caches route through the
-    set-decomposed layer; skewed and classifying caches keep the generic
-    kernel."""
+    """Classifier-free non-LRU caches of two ways, conventional or skewed,
+    route through the 2-way trace-order layer; conventional caches of
+    other widths through the set-decomposed layer; wider skewed and
+    classifying caches keep the generic kernel."""
     from repro.engine import batch_cache as batch_cache_module
 
     calls = []
-    real = batch_cache_module.run_decomposed_policy
+    real_set = batch_cache_module.run_decomposed_policy
+    real_skew = batch_cache_module.run_skew_decomposed_policy
 
-    def counting(cache, blocks, sets, is_write):
-        calls.append(cache.index_function.name)
-        return real(cache, blocks, sets, is_write)
+    def counting_set(cache, blocks, sets, is_write):
+        calls.append(("set", cache.index_function.name, cache.ways))
+        return real_set(cache, blocks, sets, is_write)
 
-    monkeypatch.setattr(batch_cache_module, "run_decomposed_policy", counting)
+    def counting_skew(cache, blocks, is_write):
+        calls.append(("skew", cache.index_function.name, cache.ways))
+        return real_skew(cache, blocks, is_write)
+
+    monkeypatch.setattr(batch_cache_module, "run_decomposed_policy",
+                        counting_set)
+    monkeypatch.setattr(batch_cache_module, "run_skew_decomposed_policy",
+                        counting_skew)
     trace = list(TRACES["random"]())
 
-    _, plain = build_pair("a2", replacement=policy)
-    plain.run(batch_of(trace))
-    assert calls == ["a2"]
-
-    _, skewed = build_pair("a2-Hp-Sk", replacement=policy)
-    skewed.run(batch_of(trace))
-    assert calls == ["a2"]  # skewed stayed on the generic kernel
-
-    _, classifying = build_pair("a2", replacement=policy, classify=True)
-    classifying.run(batch_of(trace))
-    assert calls == ["a2"]  # classifier forces global-order generic kernel
+    for scheme, ways, classify, expected in [
+        ("a2", 2, False, ("skew", "a2", 2)),
+        ("a2-Hp-Sk", 2, False, ("skew", "a2-Hp-Sk", 2)),
+        ("a2", 4, False, ("set", "a2", 4)),
+        ("a2-Hp-Sk", 4, False, None),  # wider skewed: generic kernel
+        ("a2", 2, True, None),  # classifier forces the global-order kernel
+    ]:
+        del calls[:]
+        _, cache = build_pair(scheme, ways=ways, replacement=policy,
+                              classify=classify)
+        cache.run(batch_of(trace))
+        assert calls == ([expected] if expected else [])
 
 
 @pytest.mark.parametrize("trace_name", POLICY_TRACES)

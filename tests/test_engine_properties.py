@@ -169,7 +169,8 @@ def test_batch_cache_matches_scalar_on_random_traces(
 )
 def test_set_decomposed_matches_generic_kernel_on_random_traces(
         addresses, writes, m, ways, scheme, write_back, replacement):
-    """The set-decomposed kernels and the retained generic kernel agree on
+    """The kernels conventional caches dispatch to (trace-order at two ways,
+    set-decomposed otherwise) and the retained generic kernel agree on
     arbitrary random traces — hits, stats, residency AND the policy state
     tables they leave behind."""
     num_sets = 1 << m
@@ -193,6 +194,9 @@ def test_set_decomposed_matches_generic_kernel_on_random_traces(
         np.array(addresses, dtype=np.uint64), np.array(is_write, dtype=bool))
     decomposed = build()
     generic = build()
+    assert decomposed.dispatch_strategy(batch) == (
+        f"skew-decomposed-{replacement}" if ways == 2
+        else f"set-decomposed-{replacement}")
     dec_hits = decomposed.run(batch)
     gen_hits = generic._run_policy_kernel(
         batch.block_numbers(block), batch.is_write)
@@ -235,7 +239,7 @@ def test_skew_decomposed_three_path_agreement_on_random_polynomials(
         addresses, writes, config, write_back, replacement):
     """Random mixed load/store batches over random GF(2) polynomial index
     functions agree bit-exactly across all three paths — the scalar engine,
-    the skew-decomposed kernels and the retained generic kernel — with the
+    the dispatched kernel and the retained generic kernel — with the
     policy state tables compared after every batch."""
     m, ways, address_bits, polys = config
     num_sets = 1 << m
@@ -260,8 +264,9 @@ def test_skew_decomposed_three_path_agreement_on_random_polynomials(
                                  replacement=replacement, write_policy=policy)
     decomposed = build_batch_cache()
     generic = build_batch_cache()
-    assert decomposed.dispatch_strategy(
-        AddressBatch.from_arrays([0])) == f"skew-decomposed-{replacement}"
+    assert decomposed.dispatch_strategy(AddressBatch.from_arrays([0])) == (
+        f"skew-decomposed-{replacement}" if ways == 2
+        else "generic-policy-kernel")
 
     cut = len(addresses) // 2
     for lo, hi in ((0, cut), (cut, len(addresses))):
@@ -308,9 +313,10 @@ def test_skew_decomposed_three_path_agreement_on_random_polynomials(
 )
 def test_victim_decomposed_three_path_agreement_on_random_polynomials(
         addresses, writes, entries, ways, config, replacement):
-    """The decomposed victim kernels agree with the generic victim kernel
-    and the scalar model over random skewed GF(2) placements, state tables
-    compared after every batch."""
+    """The dispatched victim kernels (decomposed for 1-way mains, generic
+    for 2-way mains) agree with the generic victim kernel and the scalar
+    model over random skewed GF(2) placements, state tables compared after
+    every batch."""
     from repro.cache.victim import VictimCache
     from repro.engine import BatchVictimCache
 

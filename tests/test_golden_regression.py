@@ -55,8 +55,9 @@ def test_miss_ratio_study_matches_golden(engine):
 
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_fifo_figure1_matches_golden(engine):
-    """FIFO stride sweep: pins the set-decomposed FIFO kernel (vectorized)
-    and the scalar FIFO policy (reference) to one committed snapshot."""
+    """FIFO stride sweep: pins the 2-way trace-order FIFO kernel
+    (vectorized, conventional and skewed organisations) and the scalar FIFO
+    policy (reference) to one committed snapshot."""
     golden = load_golden("figure1_fifo.json")
     params = golden["params"]
     result = run_figure1(max_stride=params["max_stride"],
@@ -70,8 +71,9 @@ def test_fifo_figure1_matches_golden(engine):
 
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_plru_miss_ratio_study_matches_golden(engine):
-    """PLRU miss-ratio study: pins the set-decomposed PLRU kernel across
-    every study organisation (fully-associative included)."""
+    """PLRU miss-ratio study: pins the PLRU kernels across every study
+    organisation (the 2-way trace-order kernel on the 2-way caches, the
+    set-decomposed kernel on the fully-associative one)."""
     golden = load_golden("miss_ratio_study_plru.json")
     params = golden["params"]
     result = run_miss_ratio_study(programs=params["programs"],
@@ -84,7 +86,7 @@ def test_plru_miss_ratio_study_matches_golden(engine):
 
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_skewed_plru_miss_ratio_matches_golden(engine):
-    """Skewed-placement PLRU miss-ratio study: pins the skew-decomposed
+    """Skewed-placement PLRU miss-ratio study: pins the 2-way trace-order
     PLRU kernel (via the skewed-XOR and skewed-I-Poly organisations) so a
     kernel regression fails without the scalar engine in the loop."""
     golden = load_golden("miss_ratio_study_plru_skewed.json")
