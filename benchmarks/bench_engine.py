@@ -55,6 +55,12 @@ single-pass FIFO profile must beat per-config FIFO kernels >= 5x,
 bit-exact on every cell.  A ``synthesis`` section times the Spec95
 workload mixtures (tomcatv, swim, gcc) built by the per-access generator
 against the array-native builder: byte-identical, bounded at >= 10x.
+An ``ooo_pipeline`` section times the Table 2 path on gcc, tomcatv and
+swim under both index engines: one instruction-stream generation per
+program, replayed on the six Table 2 machines.  It reports generation us
+per instruction and pipeline us per instruction-machine, asserts every
+shared-stream result equals a run on a freshly generated stream, and is
+tracked without a bound.
 ``REPRO_BENCH_ENGINE_ACCESSES`` overrides the
 trace length (default 1M); ``REPRO_BENCH_ENGINE_JSON`` overrides the
 artifact path (empty disables it).
@@ -75,6 +81,9 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.victim import VictimCache
 from repro.cache.virtual_real import VirtualRealHierarchy
 from repro.core.index import make_index_function
+from repro.cpu.processor import OutOfOrderProcessor, ProcessorConfig
+from repro.cpu.program import Program
+from repro.cpu.workloads import build_program
 from repro.engine import (
     AddressBatch,
     BatchSetAssociativeCache,
@@ -87,6 +96,7 @@ from repro.engine import (
 from repro.experiments.config import (
     PAPER_HASH_BITS,
     PAPER_L1_8KB,
+    TABLE2_CONFIGS,
     CacheGeometry,
     build_cache,
 )
@@ -699,6 +709,66 @@ def compare_trace_synthesis(accesses=BENCH_ENGINE_ACCESSES):
     return {"rows": rows}
 
 
+#: Programs and stream length of the OoO-pipeline section: the inputs of
+#: the ``table2`` workload of the end-to-end benchmark.
+OOO_PROGRAMS = ("gcc", "tomcatv", "swim")
+OOO_INSTRUCTIONS = 12_000
+SMOKE_OOO_INSTRUCTIONS = 1_500
+
+
+def compare_ooo_pipeline(instructions=OOO_INSTRUCTIONS):
+    """Time the Table 2 path: one stream generation, six machine runs.
+
+    For each index engine and program, generates the instruction stream
+    once and runs it on every ``TABLE2_CONFIGS`` machine, timing the two
+    layers apart.  Each shared-stream result must equal a run on a freshly
+    generated stream.  Tracked only: no wall-clock bound.
+    """
+    rows = []
+    for engine in ("reference", "vectorized"):
+        for program in OOO_PROGRAMS:
+            start = time.perf_counter()
+            stream = list(build_program(program, length=instructions)
+                          .instructions())
+            generation_seconds = time.perf_counter() - start
+            shared = Program.from_list(program, stream)
+            pipeline_seconds = 0.0
+            for label, overrides in TABLE2_CONFIGS.items():
+                config = ProcessorConfig(**{"index_engine": engine,
+                                            **overrides})
+                processor = OutOfOrderProcessor(config)
+                start = time.perf_counter()
+                result = processor.run(shared)
+                pipeline_seconds += time.perf_counter() - start
+                fresh = OutOfOrderProcessor(config).run(
+                    build_program(program, length=instructions))
+                assert result == fresh, (
+                    f"{program}/{label}/{engine}: shared stream diverged "
+                    "from a freshly generated one")
+            machines = len(TABLE2_CONFIGS)
+            rows.append({
+                "program": program, "engine": engine,
+                "instructions": instructions, "machines": machines,
+                "generation_seconds": generation_seconds,
+                "pipeline_seconds": pipeline_seconds,
+                "generation_us_per_instr":
+                    1e6 * generation_seconds / instructions,
+                "pipeline_us_per_instr_machine":
+                    1e6 * pipeline_seconds / (instructions * machines),
+            })
+    return {"rows": rows}
+
+
+@pytest.mark.benchmark(group="engine-ooo-pipeline")
+def test_ooo_pipeline_throughput(benchmark):
+    """Shared Table 2 streams give fresh-stream results (tracked, unbounded)."""
+    result = benchmark.pedantic(compare_ooo_pipeline, rounds=1, iterations=1)
+    print("\nooo-pipeline: " + ", ".join(
+        f"{row['program']}/{row['engine']} "
+        f"{row['pipeline_us_per_instr_machine']:.1f} us/instr-machine"
+        for row in result["rows"]))
+
+
 @pytest.mark.benchmark(group="engine-trace-synthesis")
 def test_trace_synthesis_throughput(benchmark):
     """The array builder beats the generator >= 10x, byte-identical."""
@@ -819,7 +889,7 @@ def _load_trajectory(path):
 
 def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
                     smoke=False, trace_io=None, profiler=None,
-                    synthesis=None):
+                    synthesis=None, ooo_pipeline=None):
     """Append this run to the machine-readable trajectory artifact."""
     if not path:
         return None
@@ -844,6 +914,7 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "trace_io": trace_io,
         "profiler": profiler,
         "synthesis": synthesis,
+        "ooo_pipeline": ooo_pipeline,
     })
     artifact = {
         "benchmark": "bench_engine",
@@ -1214,9 +1285,21 @@ def main(argv=None):
                 f"{row['program']}: array builder only {row['speedup']:.1f}x "
                 f"over the generator (required {REQUIRED_SPEEDUP_SYNTH}x)")
 
+    # OoO-pipeline section: Table 2 streams generated once, run six times.
+    ooo_pipeline = compare_ooo_pipeline(
+        SMOKE_OOO_INSTRUCTIONS if args.smoke else OOO_INSTRUCTIONS)
+    print(f"\nooo-pipeline ({ooo_pipeline['rows'][0]['instructions']:,} "
+          f"instructions x {len(TABLE2_CONFIGS)} Table 2 machines, shared "
+          f"stream == fresh stream, tracked):")
+    for row in ooo_pipeline["rows"]:
+        print(f"  {row['program']:10s} {row['engine']:10s} generation "
+              f"{row['generation_us_per_instr']:5.1f} us/instr, pipeline "
+              f"{row['pipeline_us_per_instr_machine']:5.1f} "
+              f"us/instr-machine")
+
     path = _write_artifact(rows, accesses, sweep=sweep, smoke=args.smoke,
                            trace_io=trace_io, profiler=profiler,
-                           synthesis=synthesis)
+                           synthesis=synthesis, ooo_pipeline=ooo_pipeline)
     if path:
         print(f"appended run to {path}")
 

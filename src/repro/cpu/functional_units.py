@@ -128,6 +128,12 @@ class FunctionalUnitPool:
             self._units.append(
                 FunctionalUnit(f"eff-addr-{i}", (OpClass.LOAD, OpClass.STORE),
                                self._timings))
+        # Serving units per op class, in unit order so ``min`` still breaks
+        # ties to the first; an op with a timing but no unit maps to ``()``.
+        self._serving: Dict[str, Tuple[FunctionalUnit, ...]] = {
+            op: tuple(u for u in self._units if u.serves(op))
+            for op in self._timings
+        }
 
     @property
     def units(self) -> List[FunctionalUnit]:
@@ -140,9 +146,11 @@ class FunctionalUnitPool:
 
     def earliest_unit(self, op: str, now: int) -> FunctionalUnit:
         """The serving unit that can start ``op`` soonest (ties by order)."""
-        candidates = [u for u in self._units if u.serves(op)]
+        candidates = self._serving.get(op)
         if not candidates:
             raise ValueError(f"no functional unit serves {op!r}")
+        if len(candidates) == 1:
+            return candidates[0]
         return min(candidates, key=lambda u: u.next_start(now))
 
     def issue(self, op: str, now: int) -> Tuple[int, int]:

@@ -49,7 +49,7 @@ class OpClass:
     MEMORY = (LOAD, STORE)
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     """One dynamic instruction.
 

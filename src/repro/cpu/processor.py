@@ -35,7 +35,8 @@ practical in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from itertools import islice
+from typing import Dict, Optional, Tuple
 
 from ..cache.set_assoc import SetAssociativeCache, WritePolicy
 from ..core.index import make_index_function
@@ -240,66 +241,64 @@ class OutOfOrderProcessor:
             raise ValueError("max_instructions must be non-negative")
         cfg = self.config
         reg_ready: Dict[int, int] = {}
-        prev_commit = 0
         last_commit = 0
-
-        instructions = 0
-        loads = stores = branches = 0
         forwarded = 0
         op_counts: Dict[str, int] = {}
 
-        for seq, inst in enumerate(program.instructions()):
-            if max_instructions is not None and instructions >= max_instructions:
-                break
-            inst.seq = seq
-            instructions += 1
-            op_counts[inst.op] = op_counts.get(inst.op, 0) + 1
+        # The loop runs once per dynamic instruction, so everything it calls
+        # is bound to a local first.
+        ready_get = reg_ready.get
+        count_get = op_counts.get
+        fetch_record = self._fetch.record
+        commit_record = self._commit.record
+        rob_earliest = self._rob.earliest_acquire
+        rob_acquire = self._rob.acquire
+        int_regs, fp_regs = self._int_regs, self._fp_regs
+        execute = self._execute
+        dcache_store = self.dcache.store
+        record_store = self.store_buffer.record_store
+        decode_latency = cfg.decode_latency
+        STORE = OpClass.STORE
 
-            fetch_cycle = self._fetch.record(self._fetch_floor)
-            dispatch_request = fetch_cycle + cfg.decode_latency
-            dispatch_cycle = max(dispatch_request,
-                                 self._rob.earliest_acquire(dispatch_request))
-            regfile = None
-            if inst.dest is not None:
-                regfile = self._fp_regs if is_fp_register(inst.dest) else self._int_regs
-                dispatch_cycle = max(dispatch_cycle,
-                                     regfile.earliest_acquire(dispatch_cycle))
+        stream = islice(program.instructions(), max_instructions)
+        for seq, inst in enumerate(stream):
+            inst.seq = seq
+            op = inst.op
+            dest = inst.dest
+            op_counts[op] = count_get(op, 0) + 1
+
+            fetch_cycle = fetch_record(self._fetch_floor)
+            dispatch_cycle = rob_earliest(fetch_cycle + decode_latency)
+            if dest is not None:
+                regfile = fp_regs if is_fp_register(dest) else int_regs
+                dispatch_cycle = regfile.earliest_acquire(dispatch_cycle)
 
             operands_ready = dispatch_cycle
             for src in inst.srcs:
-                operands_ready = max(operands_ready, reg_ready.get(src, 0))
+                ready = ready_get(src, 0)
+                if ready > operands_ready:
+                    operands_ready = ready
 
-            complete, result_ready, was_forwarded = self._execute(
-                inst, operands_ready)
+            complete, was_forwarded = execute(inst, op, operands_ready)
             if was_forwarded:
                 forwarded += 1
 
-            commit_cycle = self._commit.record(max(complete + 1, prev_commit))
-            prev_commit = commit_cycle
-            last_commit = commit_cycle
+            last_commit = commit_record(max(complete + 1, last_commit))
 
-            self._rob.acquire(dispatch_cycle, commit_cycle)
-            if regfile is not None:
-                regfile.acquire(dispatch_cycle, commit_cycle)
-            if inst.dest is not None:
-                reg_ready[inst.dest] = result_ready
-
-            if inst.is_load:
-                loads += 1
-            elif inst.is_store:
-                stores += 1
+            rob_acquire(dispatch_cycle, last_commit)
+            if dest is not None:
+                regfile.acquire(dispatch_cycle, last_commit)
+                reg_ready[dest] = complete
+            if op == STORE:
                 # The store drains to the write-through cache after commit.
-                self.dcache.store(inst.address, commit_cycle)
-                self.store_buffer.record_store(seq, inst.address, complete,
-                                               commit_cycle)
-            elif inst.is_branch:
-                branches += 1
+                dcache_store(inst.address, last_commit)
+                record_store(seq, inst.address, complete, last_commit)
 
         cache_stats = self.dcache.cache.stats
         return SimulationResult(
             program=program.name,
             config=cfg,
-            instructions=instructions,
+            instructions=sum(op_counts.values()),
             cycles=last_commit,
             load_miss_ratio=cache_stats.load_miss_ratio,
             store_miss_ratio=(cache_stats.store_misses / cache_stats.stores
@@ -309,38 +308,34 @@ class OutOfOrderProcessor:
                                          if self.address_predictor else 0.0),
             address_prediction_accuracy=(self.address_predictor.accuracy
                                          if self.address_predictor else 0.0),
-            loads=loads,
-            stores=stores,
-            branches=branches,
+            loads=op_counts.get(OpClass.LOAD, 0),
+            stores=op_counts.get(STORE, 0),
+            branches=op_counts.get(OpClass.BRANCH, 0),
             forwarded_loads=forwarded,
             op_counts=op_counts,
         )
 
     # ------------------------------------------------------------------ #
 
-    def _execute(self, inst: Instruction, operands_ready: int):
-        """Compute (complete_cycle, result_ready_cycle, forwarded) for one instruction.
+    def _execute(self, inst: Instruction, op: str,
+                 operands_ready: int) -> Tuple[int, bool]:
+        """Issue one instruction of class ``op``; returns ``(complete, forwarded)``.
 
-        Branch handling also updates the fetch redirect point via
-        ``self._fetch_redirect``; the caller reads it back through the
-        closure-free attribute set below.
+        ``complete`` is also the cycle dependents may use the result.  A
+        mispredicted branch raises the fetch floor through
+        :meth:`_redirect_fetch`, which the next fetch in :meth:`run` reads.
         """
-        if inst.is_load:
+        if op == OpClass.LOAD:
             return self._execute_load(inst, operands_ready)
-        if inst.is_store:
-            _, addr_done = self.fu_pool.issue(OpClass.STORE, operands_ready)
-            return addr_done, addr_done, False
-        if inst.is_branch:
-            _, complete = self.fu_pool.issue(OpClass.BRANCH, operands_ready)
-            predicted_correct = self.branch_predictor.update(inst.pc, inst.taken)
-            if not predicted_correct:
-                self._redirect_fetch(complete
-                                     + self.config.misprediction_redirect_penalty)
-            return complete, complete, False
-        _, complete = self.fu_pool.issue(inst.op, operands_ready)
-        return complete, complete, False
+        _, complete = self.fu_pool.issue(op, operands_ready)
+        if (op == OpClass.BRANCH
+                and not self.branch_predictor.update(inst.pc, inst.taken)):
+            self._redirect_fetch(complete
+                                 + self.config.misprediction_redirect_penalty)
+        return complete, False
 
-    def _execute_load(self, inst: Instruction, operands_ready: int):
+    def _execute_load(self, inst: Instruction,
+                      operands_ready: int) -> Tuple[int, bool]:
         addr_start, addr_done = self.fu_pool.issue(OpClass.LOAD, operands_ready)
 
         predicted_ok = False
@@ -351,7 +346,7 @@ class OutOfOrderProcessor:
 
         forwarded_ready = self.store_buffer.forward(inst.seq, inst.address, addr_done)
         if forwarded_ready is not None:
-            return forwarded_ready, forwarded_ready, True
+            return forwarded_ready, True
 
         if predicted_ok:
             # The speculative access was launched with the predicted line in
@@ -365,7 +360,7 @@ class OutOfOrderProcessor:
             timing = self.dcache.load(inst.address, addr_done,
                                       predicted_index_available=False)
             ready = timing.ready_cycle
-        return ready, ready, False
+        return ready, False
 
     # ------------------------------------------------------------------ #
 

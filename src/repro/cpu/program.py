@@ -59,7 +59,11 @@ class Program:
 
     @classmethod
     def from_list(cls, name: str, instructions: List[Instruction]) -> "Program":
-        """Build a program from a fixed list (convenient in tests)."""
+        """Build a program from a fixed list.
+
+        Every replay yields the same :class:`Instruction` objects, which is
+        how Table 2 shares one generated stream between its six machines.
+        """
         materialised = list(instructions)
         return cls(name, lambda: list(materialised), length_hint=len(materialised))
 

@@ -58,12 +58,13 @@ class WindowResource:
         than requested if the pool was full.
         """
         actual = self.earliest_acquire(requested_cycle)
+        # Validate before touching the window: a rejected call changes nothing.
+        if release_cycle < actual:
+            raise ValueError("release_cycle must not precede the acquisition cycle")
         if actual > requested_cycle:
             self.stall_events += 1
         if len(self._release_cycles) >= self._capacity:
             self._release_cycles.popleft()
-        if release_cycle < actual:
-            raise ValueError("release_cycle must not precede the acquisition cycle")
         self._release_cycles.append(release_cycle)
         return actual
 

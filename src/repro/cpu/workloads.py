@@ -23,7 +23,7 @@ effect the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 from ..trace.generators import _SplitMix64
 from ..trace.workloads import WORKLOADS, build_trace
@@ -150,6 +150,11 @@ def _instruction_stream(name: str, length: int, seed: int) -> Iterator[Instructi
             fp_dest_cursor = INT_REGS + len(base_fp)
         return dest
 
+    # One shared tuple per distinct source-register list: a materialised
+    # stream holds only a few hundred distinct ones (569 in 12k gcc
+    # instructions), so interning here keeps a shared stream small.
+    interned_srcs: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
     emitted = 0
     pc = 0x0040_0000
     while emitted < length:
@@ -224,6 +229,7 @@ def _instruction_stream(name: str, length: int, seed: int) -> Iterator[Instructi
         if len(recent_fp) > 4 * mix.dependency_window:
             del recent_fp[: 2 * mix.dependency_window]
         emitted += 1
+        inst.srcs = interned_srcs.setdefault(inst.srcs, inst.srcs)
         yield inst
 
 

@@ -26,13 +26,12 @@ The programs here are the synthetic Spec95-like models of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
-
-from typing import Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.metrics import arithmetic_mean, geometric_mean, std_deviation
 from ..analysis.reporting import TableBuilder
 from ..cpu.processor import OutOfOrderProcessor, ProcessorConfig, SimulationResult
+from ..cpu.program import Program
 from ..cpu.workloads import build_program, program_names
 from ..engine.sweep import TaskFailure, run_sweep
 from ..trace.workloads import FP_PROGRAMS, INTEGER_PROGRAMS
@@ -124,19 +123,27 @@ class Table2Result:
 
 
 #: One per-program work item of the parallel Table 2 sweep: everything a
-#: worker process needs to rebuild the program and run every configuration.
+#: worker process needs to generate the program once and run it on every
+#: configuration.
 _Table2Task = Tuple[str, int, int, str, Tuple[Tuple[str, tuple], ...]]
 
 
 def _table2_program_task(task: _Table2Task) -> Dict[str, SimulationResult]:
-    """Module-level sweep worker (must be picklable for process pools)."""
+    """Module-level sweep worker (must be picklable for process pools).
+
+    The instruction stream is generated once and replayed on every machine:
+    the processor draws no randomness and only rewrites ``inst.seq`` with
+    the same index on each run, so a shared stream gives the results of a
+    freshly generated one per machine.
+    """
     name, instructions, seed, engine, config_items = task
+    program = build_program(name, length=instructions, seed=seed)
+    program = Program.from_list(name, list(program.instructions()))
     per_config: Dict[str, SimulationResult] = {}
     for label, override_items in config_items:
         merged = dict(override_items)
         merged.setdefault("index_engine", engine)
         processor = OutOfOrderProcessor(ProcessorConfig(**merged))
-        program = build_program(name, length=instructions, seed=seed)
         per_config[label] = processor.run(program)
     return per_config
 

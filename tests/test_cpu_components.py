@@ -172,6 +172,44 @@ class TestFunctionalUnits:
         _, done = pool.issue(OpClass.FP_SQRT, now=0)
         assert done == 35
 
+    def test_memory_ops_tie_break_to_the_first_address_unit(self):
+        pool = FunctionalUnitPool()
+        for op in OpClass.MEMORY:
+            assert pool.earliest_unit(op, now=0).name == "eff-addr-0"
+        pool.issue(OpClass.LOAD, now=0)
+        assert pool.earliest_unit(OpClass.STORE, now=0).name == "eff-addr-1"
+        # Once both units are free again the first one wins the tie.
+        assert pool.earliest_unit(OpClass.STORE, now=5).name == "eff-addr-0"
+
+    def test_every_op_class_reaches_its_table1_unit(self):
+        expected = {
+            OpClass.INT_ALU: "simple-int", OpClass.BRANCH: "simple-int",
+            OpClass.INT_MUL: "complex-int", OpClass.INT_DIV: "complex-int",
+            OpClass.FP_ADD: "simple-fp", OpClass.FP_MUL: "fp-mul",
+            OpClass.FP_DIV: "fp-div-sqrt", OpClass.FP_SQRT: "fp-div-sqrt",
+            OpClass.LOAD: "eff-addr-0", OpClass.STORE: "eff-addr-0",
+        }
+        assert set(expected) == set(OpClass.ALL)
+        for op, name in expected.items():
+            pool = FunctionalUnitPool()
+            # The lookup table agrees with a scan over every unit in order.
+            scanned = min((u for u in pool.units if u.serves(op)),
+                          key=lambda u: u.next_start(0))
+            unit = pool.earliest_unit(op, now=0)
+            assert unit.name == name == scanned.name
+            pool.issue(op, now=0)
+            assert unit.operations == 1
+
+    def test_unserved_ops_rejected(self):
+        with pytest.raises(ValueError, match="no functional unit serves 'bogus'"):
+            FunctionalUnitPool().issue("bogus", now=0)
+        timings = dict(TABLE1_TIMINGS, vector=OperationTiming(latency=2, repeat=1))
+        pool = FunctionalUnitPool(timings=timings)
+        with pytest.raises(ValueError, match="no functional unit serves 'vector'"):
+            pool.issue("vector", now=0)
+        with pytest.raises(ValueError, match="no functional unit serves 'vector'"):
+            pool.earliest_unit("vector", now=0)
+
     def test_operation_timing_validation(self):
         with pytest.raises(ValueError):
             OperationTiming(latency=0, repeat=1)
@@ -196,6 +234,21 @@ class TestResources:
     def test_window_release_before_acquire_rejected(self):
         with pytest.raises(ValueError):
             WindowResource(2).acquire(5, release_cycle=4)
+
+    @pytest.mark.parametrize("requested, release", [(30, 5), (5, 7)])
+    def test_window_rejected_acquire_leaves_window_unchanged(self, requested,
+                                                             release):
+        # (30, 5): the window is full and would expire its oldest holder;
+        # (5, 7): the request would also stall until cycle 10.
+        window = WindowResource(2)
+        window.acquire(0, 10)
+        window.acquire(0, 20)
+        with pytest.raises(ValueError):
+            window.acquire(requested, release)
+        assert window.occupancy == 2
+        assert list(window._release_cycles) == [10, 20]
+        assert window.stall_events == 0
+        assert window.earliest_acquire(0) == 10
 
     def test_throughput_limiter_enforces_width(self):
         fetch = ThroughputLimiter(width=2)

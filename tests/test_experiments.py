@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.cpu import workloads as cpu_workloads
+from repro.cpu.fuzzer import _RESULT_FIELDS
+from repro.cpu.processor import OutOfOrderProcessor, ProcessorConfig
+from repro.cpu.workloads import build_program, program_names
 from repro.engine import chunk_tasks, run_sweep
 from repro.experiments.column_assoc_study import run_column_assoc_study
 from repro.experiments.config import (
@@ -17,7 +21,11 @@ from repro.experiments.figure1 import run_figure1, stride_miss_ratio
 from repro.experiments.holes_study import run_holes_study
 from repro.experiments.miss_ratio_study import run_miss_ratio_study
 from repro.experiments.replacement_study import run_replacement_study
-from repro.experiments.table2 import miss_ratio_std_dev, run_table2
+from repro.experiments.table2 import (
+    _table2_program_task,
+    miss_ratio_std_dev,
+    run_table2,
+)
 from repro.experiments.table3 import run_table3
 
 
@@ -489,6 +497,48 @@ class TestTable2:
             for config in small_table2.configurations:
                 assert (fanned.results[program][config]
                         == small_table2.results[program][config])
+
+
+def _table2_task(name, engine, instructions=1_500, seed=2027):
+    """The per-program task ``run_table2`` builds for the six machines."""
+    config_items = tuple((label, tuple(overrides.items()))
+                         for label, overrides in TABLE2_CONFIGS.items())
+    return (name, instructions, seed, engine, config_items)
+
+
+class TestTable2SharedStream:
+    """Each program's stream is generated once and replayed on all six machines."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("name", program_names())
+    def test_shared_stream_matches_a_fresh_stream_per_machine(self, name, engine):
+        shared = _table2_program_task(_table2_task(name, engine))
+        assert list(shared) == list(TABLE2_CONFIGS)
+        for label, overrides in TABLE2_CONFIGS.items():
+            config = ProcessorConfig(**{"index_engine": engine, **overrides})
+            fresh = OutOfOrderProcessor(config).run(
+                build_program(name, length=1_500, seed=2027))
+            for field in _RESULT_FIELDS:
+                assert getattr(shared[label], field) == getattr(fresh, field), (
+                    f"{name}/{label}/{engine}: {field}")
+            assert shared[label] == fresh
+
+    def test_one_generation_per_program(self, monkeypatch):
+        generated = []
+        stream = cpu_workloads._instruction_stream
+
+        def counting_stream(name, length, seed):
+            generated.append(name)
+            return stream(name, length, seed)
+
+        monkeypatch.setattr(cpu_workloads, "_instruction_stream", counting_stream)
+        result = _table2_program_task(_table2_task("gcc", "vectorized", 1_000))
+        assert len(result) == len(TABLE2_CONFIGS)
+        assert generated == ["gcc"]
+        generated.clear()
+        run_table2(programs=["swim", "gcc"], instructions=1_000,
+                   engine="vectorized")
+        assert generated == ["swim", "gcc"]
 
 
 class TestTable3:

@@ -246,6 +246,17 @@ class TestSyntheticPrograms:
         assert first == second
         assert len(first) == 500
 
+    def test_materialised_program_replays_identically(self):
+        stream = list(build_program("gcc", length=1500).instructions())
+        program = Program.from_list("gcc", stream)
+        config = ProcessorConfig(index_scheme="a2-Hp-Sk", address_prediction=True,
+                                 xor_in_critical_path=True)
+        first = OutOfOrderProcessor(config).run(program)
+        second = OutOfOrderProcessor(config).run(program)
+        fresh = OutOfOrderProcessor(config).run(build_program("gcc", length=1500))
+        assert first == second == fresh
+        assert [inst.seq for inst in stream] == list(range(1500))
+
     def test_mix_contains_expected_classes(self):
         program = build_program("swim", length=2000)
         ops = {i.op for i in program.instructions()}
