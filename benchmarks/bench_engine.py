@@ -19,6 +19,13 @@ Every row is bounded — no organisation is merely "tracked" any more:
   over the per-access scalar protocols (bit-exact per-level CacheStats,
   hole/back-invalidation counters, page faults and TLB hits/misses).
 
+Each row records the ``tier`` that ran its kernel: ``"c"`` for the compiled
+loops of :mod:`repro.engine.cext` (2-way and victim kernels), ``"python:
+<reason>"`` when they are off, ``"python"`` or ``"numpy"`` for kernels the
+C tier does not serve.  The 2-way policy rows and the victim rows are also
+timed with ``REPRO_CEXT=0`` as tracked rows (``"bounded": false``) so the
+trajectory keeps the Python kernels' speed next to the C tier's.
+
 The trace is built
 through the process-global trace cache, so the vectorized timings include
 the sweep-wide reuse of materialised addresses and per-scheme index arrays
@@ -67,6 +74,7 @@ artifact path (empty disables it).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -90,6 +98,7 @@ from repro.engine import (
     BatchVictimCache,
     batch_hierarchy_like,
     batch_virtual_real_like,
+    kernel_tier,
     profile_cache_clear,
     run_lru_grid,
 )
@@ -282,8 +291,55 @@ def _run_scalar(scalar, batch_trace):
         access(address, False)
 
 
-def compare_engines(scheme, accesses=BENCH_ENGINE_ACCESSES, replacement=None):
-    """Time both engines on the same trace; returns a result dict."""
+#: Dispatch names whose loops the compiled C tier runs at the bench's 2-way
+#: geometry (classifier-free 2-way caches, direct-mapped victim mains).
+C_TIER_KERNELS = ("lru-skewed-2way", "lru-dict", "skew-decomposed-",
+                  "victim-decomposed-")
+
+
+def _tier(kernel):
+    """Which implementation runs ``kernel``: ``"c"``, ``"python..."`` or
+    ``"numpy"`` (the fully vectorized run-collapse path)."""
+    if kernel == "lru-run-collapse":
+        return "numpy"
+    return kernel_tier() if kernel.startswith(C_TIER_KERNELS) else "python"
+
+
+@contextlib.contextmanager
+def _python_kernels():
+    """Run the enclosed kernels on the Python tier (``REPRO_CEXT=0``)."""
+    saved = os.environ.get("REPRO_CEXT")
+    os.environ["REPRO_CEXT"] = "0"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_CEXT"]
+        else:
+            os.environ["REPRO_CEXT"] = saved
+
+
+def _kernel_rows(row, scalar_seconds, time_batch, python_row):
+    """Rows of one bench configuration: the default kernel tier (bounded)
+    and, with ``python_row``, the same kernel on the Python tier (tracked,
+    no bound).  ``time_batch()`` runs a fresh batch cache over the trace,
+    checks it against the scalar model and returns its seconds."""
+    rows = []
+    for forced in ((False, True) if python_row else (False,)):
+        with _python_kernels() if forced else contextlib.nullcontext():
+            tier = _tier(row["kernel"])
+            vector_seconds = time_batch()
+        rows.append(dict(row, tier=tier, bounded=not forced,
+                         scalar_aps=row["accesses"] / scalar_seconds,
+                         vector_aps=row["accesses"] / vector_seconds,
+                         speedup=scalar_seconds / vector_seconds))
+    return rows
+
+
+def compare_engines(scheme, accesses=BENCH_ENGINE_ACCESSES, replacement=None,
+                    python_row=False):
+    """Time both engines on the same trace; returns a list of result rows
+    (see :func:`_kernel_rows`)."""
     trace = _build_trace(accesses)
     scalar, batch = _make_caches(scheme, replacement=replacement)
     # The dispatcher's verdict for this (configuration, batch), recorded
@@ -295,35 +351,36 @@ def compare_engines(scheme, accesses=BENCH_ENGINE_ACCESSES, replacement=None):
     _run_scalar(scalar, trace)
     scalar_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    batch.run(trace)
-    vector_seconds = time.perf_counter() - start
+    def time_batch():
+        _, batch = _make_caches(scheme, replacement=replacement)
+        start = time.perf_counter()
+        batch.run(trace)
+        seconds = time.perf_counter() - start
+        assert _stats_tuple(scalar.stats) == _stats_tuple(batch.stats), (
+            f"CacheStats diverged between engines for {scheme}")
+        return seconds
 
-    assert _stats_tuple(scalar.stats) == _stats_tuple(batch.stats), (
-        f"CacheStats diverged between engines for {scheme}")
-    n = len(trace)
-    return {
-        "scheme": scheme,
-        "replacement": replacement or "lru",
-        "kernel": kernel,
-        "accesses": n,
-        "scalar_aps": n / scalar_seconds,
-        "vector_aps": n / vector_seconds,
-        "speedup": scalar_seconds / vector_seconds,
-        "miss_ratio": scalar.stats.miss_ratio,
-    }
+    row = {"scheme": scheme, "replacement": replacement or "lru",
+           "kernel": kernel, "accesses": len(trace),
+           "miss_ratio": scalar.stats.miss_ratio}
+    return _kernel_rows(row, scalar_seconds, time_batch, python_row)
 
 
-def compare_victim_kernel(accesses=BENCH_ENGINE_ACCESSES, replacement=None):
-    """Time the scalar victim cache against the BatchVictimCache kernel."""
+def compare_victim_kernel(accesses=BENCH_ENGINE_ACCESSES, replacement=None,
+                          python_row=False):
+    """Time the scalar victim cache against the BatchVictimCache kernel;
+    returns a list of result rows (see :func:`_kernel_rows`)."""
     trace = _build_trace(accesses)
     geometry = PAPER_L1_8KB
+
+    def make_batch():
+        return BatchVictimCache(geometry.size_bytes, geometry.block_size,
+                                ways=1, victim_entries=8,
+                                replacement=replacement)
+
     scalar = VictimCache(geometry.size_bytes, geometry.block_size,
                          ways=1, victim_entries=8, replacement=replacement)
-    batch = BatchVictimCache(geometry.size_bytes, geometry.block_size,
-                             ways=1, victim_entries=8,
-                             replacement=replacement)
-    kernel = batch.dispatch_strategy(trace)
+    kernel = make_batch().dispatch_strategy(trace)
 
     start = time.perf_counter()
     access = scalar.access
@@ -331,25 +388,21 @@ def compare_victim_kernel(accesses=BENCH_ENGINE_ACCESSES, replacement=None):
         access(address, False)
     scalar_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    batch.run(trace)
-    vector_seconds = time.perf_counter() - start
+    def time_batch():
+        batch = make_batch()
+        start = time.perf_counter()
+        batch.run(trace)
+        seconds = time.perf_counter() - start
+        assert scalar.stats.load_misses == batch.stats.load_misses, (
+            "victim-cache kernels diverged")
+        assert scalar.victim_hits == batch.victim_hits
+        assert scalar.main_hits == batch.main_hits
+        return seconds
 
-    assert scalar.stats.load_misses == batch.stats.load_misses, (
-        "victim-cache kernels diverged")
-    assert scalar.victim_hits == batch.victim_hits
-    assert scalar.main_hits == batch.main_hits
-    n = len(trace)
-    return {
-        "scheme": "victim-direct+8",
-        "replacement": replacement or "lru",
-        "kernel": kernel,
-        "accesses": n,
-        "scalar_aps": n / scalar_seconds,
-        "vector_aps": n / vector_seconds,
-        "speedup": scalar_seconds / vector_seconds,
-        "miss_ratio": scalar.stats.miss_ratio,
-    }
+    row = {"scheme": "victim-direct+8", "replacement": replacement or "lru",
+           "kernel": kernel, "accesses": len(trace),
+           "miss_ratio": scalar.stats.miss_ratio}
+    return _kernel_rows(row, scalar_seconds, time_batch, python_row)
 
 
 def compare_hierarchy_engines(accesses=BENCH_ENGINE_ACCESSES):
@@ -383,6 +436,8 @@ def compare_hierarchy_engines(accesses=BENCH_ENGINE_ACCESSES):
         "scheme": "hierarchy-16K/1M",
         "replacement": "lru",
         "kernel": kernel,
+        "tier": _tier(kernel),
+        "bounded": True,
         "accesses": n,
         "scalar_aps": n / scalar_seconds,
         "vector_aps": n / vector_seconds,
@@ -425,6 +480,8 @@ def compare_virtual_real_engines(accesses=BENCH_ENGINE_ACCESSES):
         "scheme": "virtual-real-16K/1M",
         "replacement": "lru",
         "kernel": kernel,
+        "tier": _tier(kernel),
+        "bounded": True,
         "accesses": n,
         "scalar_aps": n / scalar_seconds,
         "vector_aps": n / vector_seconds,
@@ -487,6 +544,7 @@ def compare_lru_grid_sweep(accesses=BENCH_ENGINE_ACCESSES, check_scalar=True):
                         "miss_ratio": counts.miss_ratio})
     return {
         "kernel": "multiconfig-profile",
+        "per_config_tier": kernel_tier(),
         "configs": len(SWEEP_GRID),
         "accesses": len(trace),
         "per_config_seconds": per_config_seconds,
@@ -607,6 +665,7 @@ def compare_fifo_grid(accesses=BENCH_ENGINE_ACCESSES, check_scalar=False):
                 f"{num_sets} sets x {ways} ways")
     return {
         "kernel": "multiconfig-fifo-profile",
+        "per_config_tier": kernel_tier(),
         "configs": len(FIFO_GRID),
         "accesses": len(trace),
         "program": FIFO_GRID_PROGRAM,
@@ -1146,8 +1205,10 @@ def main(argv=None):
 
     print(f"strided trace: {ELEMENTS} elements, stride {STRIDE}, "
           f"{accesses:,} accesses, {PAPER_L1_8KB.label} cache"
-          + (" [smoke]" if args.smoke else "") + "\n")
-    header = (f"{'scheme':16s} {'repl':6s} {'kernel':24s} "
+          + (" [smoke]" if args.smoke else ""))
+    # Resolved (and, on a cold cache, compiled) before any row is timed.
+    print(f"kernel tier: {kernel_tier()}\n")
+    header = (f"{'scheme':16s} {'repl':6s} {'kernel':24s} {'tier':22s} "
               f"{'scalar acc/s':>14s} {'vector acc/s':>14s} "
               f"{'speedup':>8s} {'miss%':>7s}")
     print(header)
@@ -1155,59 +1216,50 @@ def main(argv=None):
 
     def show(row):
         print(f"{row['scheme']:16s} {row['replacement']:6s} "
-              f"{row['kernel']:24s} {row['scalar_aps']:14,.0f} "
+              f"{row['kernel']:24s} {row['tier']:22s} "
+              f"{row['scalar_aps']:14,.0f} "
               f"{row['vector_aps']:14,.0f} {row['speedup']:7.1f}x "
               f"{100 * row['miss_ratio']:6.2f}%")
 
     check_bounds = accesses >= MIN_ACCESSES_FOR_SPEEDUP_CHECK
     rows = []
+
+    def add(new_rows, required, label):
+        for row in new_rows:
+            rows.append(row)
+            show(row)
+            if check_bounds and row["bounded"]:
+                assert row["speedup"] >= required, (
+                    f"{label}: only {row['speedup']:.1f}x")
+
     for scheme in SCHEMES:
-        row = compare_engines(scheme, accesses=accesses)
-        rows.append(row)
-        show(row)
-        if check_bounds:
-            assert row["speedup"] >= REQUIRED_SPEEDUP, (
-                f"{row['scheme']}: only {row['speedup']:.1f}x")
+        add(compare_engines(scheme, accesses=accesses), REQUIRED_SPEEDUP,
+            scheme)
     # 2-way trace-order kernels on the conventional organisation (one set
-    # list for both ways): bounded.
+    # list for both ways): bounded, plus a tracked Python-tier row each.
     for policy in POLICY_ROWS:
-        row = compare_engines("a2", accesses=accesses, replacement=policy)
-        rows.append(row)
-        show(row)
-        if check_bounds:
-            assert row["speedup"] >= REQUIRED_SPEEDUP_POLICY, (
-                f"a2/{policy}: only {row['speedup']:.1f}x")
-    # The same 2-way trace-order kernels on the skewed organisation:
-    # bounded.
+        add(compare_engines("a2", accesses=accesses, replacement=policy,
+                            python_row=True),
+            REQUIRED_SPEEDUP_POLICY, f"a2/{policy}")
+    # The same 2-way trace-order kernels on the skewed organisation.
     for policy in POLICY_ROWS:
-        row = compare_engines("a2-Hp-Sk", accesses=accesses,
-                              replacement=policy)
-        rows.append(row)
-        show(row)
-        if check_bounds:
-            assert row["speedup"] >= REQUIRED_SPEEDUP_POLICY, (
-                f"a2-Hp-Sk/{policy}: only {row['speedup']:.1f}x")
-    # Decomposed victim kernels, every policy: bounded.
+        add(compare_engines("a2-Hp-Sk", accesses=accesses,
+                            replacement=policy, python_row=True),
+            REQUIRED_SPEEDUP_POLICY, f"a2-Hp-Sk/{policy}")
+    # Decomposed victim kernels, every policy.
     for policy in [None] + POLICY_ROWS:
-        row = compare_victim_kernel(accesses=accesses, replacement=policy)
-        rows.append(row)
-        show(row)
-        if check_bounds:
-            assert row["speedup"] >= REQUIRED_SPEEDUP_POLICY, (
-                f"victim/{row['replacement']}: only {row['speedup']:.1f}x")
+        add(compare_victim_kernel(accesses=accesses, replacement=policy,
+                                  python_row=True),
+            REQUIRED_SPEEDUP_POLICY, f"victim/{policy or 'lru'}")
     # Multi-level compositions: inclusive hierarchy and virtual-real + TLB.
     for compare, label in ((compare_hierarchy_engines, "hierarchy"),
                            (compare_virtual_real_engines, "virtual-real")):
-        row = compare(accesses=accesses)
-        rows.append(row)
-        show(row)
-        if check_bounds:
-            assert row["speedup"] >= REQUIRED_SPEEDUP, (
-                f"{label}: only {row['speedup']:.1f}x")
+        add([compare(accesses=accesses)], REQUIRED_SPEEDUP, label)
     if check_bounds:
-        print(f"\nevery row (LRU fast paths, 2-way trace-order policy, "
-              f"victim and multi-level kernels) >= {REQUIRED_SPEEDUP:.0f}x "
-              f"with bit-exact CacheStats")
+        print(f"\nevery bounded row (LRU fast paths, 2-way trace-order "
+              f"policy, victim and multi-level kernels) >= "
+              f"{REQUIRED_SPEEDUP:.0f}x with bit-exact CacheStats "
+              f"(REPRO_CEXT=0 rows tracked, unbounded)")
     else:
         print("\nbit-exact CacheStats on every kernel path "
               "(speedup bounds skipped below "

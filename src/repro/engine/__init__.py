@@ -9,7 +9,10 @@ GF(2)-remainder lookup table for I-Poly hashing), and simulates
 set-associative, skewed and column-associative caches over address batches
 (:mod:`repro.engine.batch_cache`) with bit-exact
 :class:`~repro.cache.stats.CacheStats` agreement — enforced by the
-differential suite in ``tests/test_engine_equivalence.py``.
+differential suite in ``tests/test_engine_equivalence.py``.  The 2-way and
+victim-cache loops also run as compiled C, built on first use and loaded
+through :mod:`ctypes` (:mod:`repro.engine.cext`; ``REPRO_CEXT`` selects the
+tier and :func:`kernel_tier` reports it).
 
 :mod:`repro.engine.tabulated` accelerates the scalar I-Poly function itself
 for the sequential processor simulator, :mod:`repro.engine.replay` replays
@@ -37,6 +40,7 @@ Experiment drivers expose the choice as ``engine={"reference", "vectorized"}``
 """
 
 from .batch import AddressBatch, materialise_batch
+from .cext import CExtError, kernel_tier
 from .checkpoint import SweepJournal, task_digest
 from .batch_cache import (
     BatchColumnAssociativeCache,
@@ -111,6 +115,8 @@ __all__ = [
     "ENGINE_REFERENCE",
     "ENGINE_VECTORIZED",
     "check_engine",
+    "kernel_tier",
+    "CExtError",
     "AddressBatch",
     "materialise_batch",
     "BatchSetAssociativeCache",

@@ -68,6 +68,11 @@ and batch:
    :mod:`repro.engine.skew_decompose`; wider main caches keep the generic
    loop.
 
+The classifier-free 2-way kernels (strategies 2 and 4) and the
+direct-mapped victim kernels (strategy 7) run as compiled C when the kernel
+tier of :mod:`repro.engine.cext` is available, under the same
+``dispatch_strategy`` names and bit-exact with the Python loops.
+
 Every cache exposes ``dispatch_strategy(batch)`` — the name of the kernel
 ``run`` will execute — as the dispatcher's single source of truth, which
 the differential suite introspects to prove each path is covered.
@@ -101,7 +106,11 @@ from .memo import (
 )
 from .replacement_vec import VecReplacementState, make_vec_replacement
 from .set_decompose import run_decomposed_policy
-from .skew_decompose import run_skew_decomposed_policy, run_victim_decomposed
+from .skew_decompose import (
+    run_skew_decomposed_policy,
+    run_two_way_compiled,
+    run_victim_decomposed,
+)
 
 __all__ = [
     "BatchSetAssociativeCache",
@@ -443,6 +452,12 @@ class BatchSetAssociativeCache:
             return self._run_policy_kernel(blocks, batch.is_write)
         if strategy == "lru-run-collapse":
             return self._run_vectorized(blocks)
+        if self._ways == 2 and self._classifier is None:
+            # lru-dict / lru-skewed-2way at two ways: the C 2-way loop,
+            # when the compiled tier is on.
+            hits = run_two_way_compiled(self, blocks, batch.is_write)
+            if hits is not None:
+                return hits
         if strategy == "lru-skewed-2way":
             return self._run_skewed_kernel_2way(blocks, batch.is_write)
         if strategy == "lru-skewed-generic":
@@ -1378,7 +1393,11 @@ class BatchVictimCache:
         return np.array(hits_l, dtype=bool)
 
     def flush(self) -> None:
-        """Empty both structures (statistics are preserved)."""
+        """Empty both structures (statistics are preserved).
+
+        Like the scalar :meth:`VictimCache.flush`, both access clocks keep
+        running: only frames and replacement state are forgotten.
+        """
         for tags in self._way_tags:
             tags[:] = [-1] * self._num_sets
         for d in self._way_dirty:
@@ -1387,8 +1406,6 @@ class BatchVictimCache:
         self._victim_dirty[:] = [False] * self._entries
         self._main_policy.reset()
         self._victim_policy.reset()
-        self._main_clock = 0
-        self._victim_clock = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BatchVictimCache({self._size_bytes}B, {self._ways}-way, "

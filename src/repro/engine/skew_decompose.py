@@ -57,18 +57,67 @@ Two kernel families:
   handful of entries), swap-on-victim-hit and displaced-block insertion
   replicated from the generic kernel bit-exactly.  Wider main caches keep
   the generic victim kernel.
+
+Both families, and the classifier-free 2-way LRU kernels of
+:mod:`repro.engine.batch_cache`, also run as compiled C when the kernel
+tier of :mod:`repro.engine.cext` is on (:func:`run_two_way_compiled`,
+:func:`_run_victim_compiled`): the same loops over the memoised ``int64``
+arrays, updating the same state tables, so the Python loops here are the
+fallback and the differential reference of the C tier.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from ..cache.replacement import plru_touch, plru_victim
+from ..cache.replacement import plru_touch, plru_tree_size, plru_victim
 from ..cache.set_assoc import WritePolicy
-from .memo import cached_set_index_lists
+from . import cext
+from .memo import cached_set_index_lists, cached_set_indices
 from .replacement_vec import splitmix64_array
 
-__all__ = ["run_skew_decomposed_policy", "run_victim_decomposed"]
+__all__ = ["run_skew_decomposed_policy", "run_two_way_compiled",
+           "run_victim_decomposed"]
+
+#: Policy codes of the compiled loops (``_kernels.c``).
+_C_POLICY = {"lru": 0, "fifo": 1, "random": 2, "plru": 3}
+
+
+def _ptr(array) -> Optional[int]:
+    """Address of a contiguous array's data for a ``ctypes`` call."""
+    return None if array is None else array.ctypes.data
+
+
+def _c_table(array: np.ndarray, dtype, shape) -> np.ndarray:
+    """A state table the C loops index directly, checked for layout first
+    (a wrong shape would be an out-of-bounds write there, not an error)."""
+    if (array.dtype != dtype or array.shape != shape
+            or not array.flags.c_contiguous or not array.flags.writeable):
+        raise ValueError(f"C kernel table must be a writable contiguous "
+                         f"{np.dtype(dtype)} array of shape {shape}, got "
+                         f"{array.dtype} {array.shape}")
+    return array
+
+
+def _c_indices(sets: np.ndarray, num_sets: int, n: int) -> np.ndarray:
+    """A set-index stream the C loops index with, checked to be in range."""
+    if (sets.dtype != np.int64 or sets.shape != (n,)
+            or not sets.flags.c_contiguous
+            or (n and (int(sets.min()) < 0 or int(sets.max()) >= num_sets))):
+        raise ValueError(f"set indices must be a contiguous int64 array of "
+                         f"{n} values in [0, {num_sets})")
+    return sets
+
+
+def _c_inputs(blocks: np.ndarray, is_write: np.ndarray):
+    """The block array and write mask as the contiguous buffers C reads."""
+    blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+    writes = np.ascontiguousarray(is_write, dtype=bool)
+    if writes.shape != blocks.shape or blocks.ndim != 1:
+        raise ValueError("blocks and is_write must be 1-D of equal length")
+    return blocks, writes
 
 
 # --------------------------------------------------------------------- #
@@ -85,8 +134,12 @@ def run_skew_decomposed_policy(cache, blocks: np.ndarray,
     set-index list; a conventional cache is the special case whose two ways
     share one set list, so it passes its one memoised list as both.
     Mutates the cache's tag/dirty stores and policy state tables exactly
-    like the generic kernel and returns the per-access hit mask.
+    like the generic kernel and returns the per-access hit mask.  Runs the
+    compiled loop when the C tier is on (:func:`run_two_way_compiled`).
     """
+    hits = run_two_way_compiled(cache, blocks, is_write)
+    if hits is not None:
+        return hits
     s0_l = cached_set_index_lists(cache._vec_index, blocks, 0)
     s1_l = (cached_set_index_lists(cache._vec_index, blocks, 1)
             if cache._skewed else s0_l)
@@ -99,6 +152,111 @@ def run_skew_decomposed_policy(cache, blocks: np.ndarray,
     stats.loads += n - stores
     stats.stores += stores
     return np.array(hits_l, dtype=bool)
+
+
+def run_two_way_compiled(cache, blocks: np.ndarray,
+                         is_write: np.ndarray) -> Optional[np.ndarray]:
+    """Run one batch of a 2-way classifier-free cache through the C loop.
+
+    Serves every policy, LRU included, skewed or conventional, under
+    either write policy; returns ``None`` without touching the cache when
+    the compiled tier is off (:func:`repro.engine.cext.kernels`).  The loop
+    works on the memoised ``int64`` block and set arrays and updates the
+    policy state tables in place; the cache's Python-side tag, dirty and
+    LRU stores are converted in and out in O(frames), so the cache can
+    continue on any other kernel (or the scalar engine) bit-exactly.
+    """
+    lib = cext.kernels()
+    if lib is None:
+        return None
+    name = cache._replacement_name
+    policy = cache._vec_policy
+    num_sets = cache._num_sets
+    blocks, writes = _c_inputs(blocks, is_write)
+    n = blocks.shape[0]
+    s0 = _c_indices(cached_set_indices(cache._vec_index, blocks, 0),
+                    num_sets, n)
+    s1 = (_c_indices(cached_set_indices(cache._vec_index, blocks, 1),
+                     num_sets, n) if cache._skewed else s0)
+    if not cache._use_flat:
+        # Conventional LRU keeps per-set dicts in LRU-to-MRU order: run
+        # them as frames stamped 1 (LRU) and 2 (MRU) on a local clock.
+        tags, dirty, stamps = _lru_sets_to_frames(cache._sets)
+        clock = 2
+    else:
+        tags = np.array(cache._way_tags, dtype=np.int64)
+        dirty = np.array(cache._way_dirty, dtype=bool)
+        clock = cache._clock
+        stamps = (np.array(cache._way_used, dtype=np.int64) if name == "lru"
+                  else getattr(policy, "stamps", None))
+    u0 = u1 = None
+    if stamps is not None:
+        u0, u1 = _c_table(stamps, np.int64, (2, num_sets))
+    bits = (_c_table(policy.bits, np.bool_, (num_sets, 1))
+            if name == "plru" else None)
+    io = np.array([clock, getattr(policy, "counter", 0), 0, 0, 0, 0],
+                  dtype=np.int64)
+    hits = np.empty(n, dtype=bool)
+    lib.two_way_run(
+        n, _ptr(blocks), _ptr(s0), _ptr(s1), _ptr(writes), _C_POLICY[name],
+        cache._write_policy == WritePolicy.WRITE_BACK_ALLOCATE,
+        _ptr(tags[0]), _ptr(tags[1]), _ptr(dirty[0]), _ptr(dirty[1]),
+        _ptr(u0), _ptr(u1), _ptr(bits),
+        policy.seed if name == "random" else 0, _ptr(io), _ptr(hits))
+
+    if not cache._use_flat:
+        _frames_to_lru_sets(cache._sets, tags, dirty, stamps)
+    else:
+        _copy_rows(cache._way_tags, tags)
+        _copy_rows(cache._way_dirty, dirty)
+        if name == "lru":
+            _copy_rows(cache._way_used, stamps)
+    if name == "random":
+        policy.counter = int(io[1])
+    cache._clock += n
+    stores = int(np.count_nonzero(writes))
+    stats = cache.stats
+    stats.loads += n - stores
+    stats.stores += stores
+    stats.load_misses += int(io[2])
+    stats.store_misses += int(io[3])
+    stats.evictions += int(io[4])
+    stats.writebacks += int(io[5])
+    return hits
+
+
+def _copy_rows(rows, array: np.ndarray) -> None:
+    """Write a 2-D array back into a cache's per-way lists, in place."""
+    for row, values in zip(rows, array.tolist()):
+        row[:] = values
+
+
+def _lru_sets_to_frames(sets):
+    """Per-set LRU dicts (at most two residents) as 2-way frame arrays."""
+    num_sets = len(sets)
+    tags = [[-1] * num_sets, [-1] * num_sets]
+    dirty = [[False] * num_sets, [False] * num_sets]
+    stamps = [[0] * num_sets, [0] * num_sets]
+    for s, d in enumerate(sets):
+        for way, (block, block_dirty) in enumerate(d.items()):
+            tags[way][s] = block
+            dirty[way][s] = block_dirty
+            stamps[way][s] = way + 1
+    return (np.array(tags, dtype=np.int64), np.array(dirty, dtype=bool),
+            np.array(stamps, dtype=np.int64))
+
+
+def _frames_to_lru_sets(sets, tags, dirty, stamps) -> None:
+    """Rebuild the per-set LRU dicts, residents inserted in stamp order."""
+    (t0, t1), (d0, d1) = tags.tolist(), dirty.tolist()
+    way1_older = (stamps[1] < stamps[0]).tolist()
+    for s, d in enumerate(sets):
+        d.clear()
+        order = (((t1[s], d1[s]), (t0[s], d0[s])) if way1_older[s]
+                 else ((t0[s], d0[s]), (t1[s], d1[s])))
+        for block, block_dirty in order:
+            if block >= 0:
+                d[block] = block_dirty
 
 
 def _skew_fifo_2way(cache, blocks_l, s0_l, s1_l, writes_l):
@@ -334,8 +492,12 @@ def run_victim_decomposed(cache, blocks: np.ndarray,
     1-way main cache (Jouppi's geometry; its one index function may be a
     skewing rehash).  Mutates main/buffer tag stores, both policies' state
     tables and both clocks exactly like the generic victim kernel and
-    returns the per-access overall hit mask.
+    returns the per-access overall hit mask.  Runs the compiled loop when
+    the C tier is on.
     """
+    hits = _run_victim_compiled(cache, blocks, is_write)
+    if hits is not None:
+        return hits
     name = cache._replacement_name
     sets_l = cached_set_index_lists(cache._vec_index, blocks, 0)
     blocks_l = blocks.tolist()
@@ -354,6 +516,60 @@ def run_victim_decomposed(cache, blocks: np.ndarray,
     stats.loads += n - stores
     stats.stores += stores
     return np.array(hits_l, dtype=bool)
+
+
+def _run_victim_compiled(cache, blocks, is_write):
+    """:func:`run_victim_decomposed` through the compiled ``victim_run``
+    (``None`` when the C tier is off), converting state like
+    :func:`run_two_way_compiled`."""
+    lib = cext.kernels()
+    if lib is None:
+        return None
+    name = cache._replacement_name
+    main, buffer = cache._main_policy, cache._victim_policy
+    stamped = name != "random"
+    entries = cache._entries
+    blocks, writes = _c_inputs(blocks, is_write)
+    n = blocks.shape[0]
+    sets = _c_indices(cached_set_indices(cache._vec_index, blocks, 0),
+                      cache._num_sets, n)
+    mstamp = vstamp = vbits = None
+    if stamped:
+        mstamp = _c_table(main.stamps, np.int64, (1, cache._num_sets))
+        vstamp = _c_table(buffer.stamps, np.int64, (entries, 1))
+    if name == "plru":
+        vbits = _c_table(buffer.bits, np.bool_, (1, plru_tree_size(entries)))
+    tags = np.array(cache._way_tags[0], dtype=np.int64)
+    dirty = np.array(cache._way_dirty[0], dtype=bool)
+    vtags = np.array(cache._victim_tags, dtype=np.int64)
+    vdirty = np.array(cache._victim_dirty, dtype=bool)
+    io = np.array([cache._main_clock, cache._victim_clock,
+                   getattr(main, "counter", 0), getattr(buffer, "counter", 0),
+                   0, 0, 0, 0, 0], dtype=np.int64)
+    hits = np.empty(n, dtype=bool)
+    lib.victim_run(
+        n, _ptr(blocks), _ptr(sets), _ptr(writes), _C_POLICY[name],
+        _ptr(tags), _ptr(dirty), _ptr(mstamp), entries, _ptr(vtags),
+        _ptr(vdirty), _ptr(vstamp), _ptr(vbits),
+        buffer.seed if name == "random" else 0, _ptr(io), _ptr(hits))
+
+    cache._way_tags[0][:] = tags.tolist()
+    cache._way_dirty[0][:] = dirty.tolist()
+    cache._victim_tags[:] = vtags.tolist()
+    cache._victim_dirty[:] = vdirty.tolist()
+    cache._main_clock, cache._victim_clock = int(io[0]), int(io[1])
+    if not stamped:
+        main.counter, buffer.counter = int(io[2]), int(io[3])
+    stores = int(np.count_nonzero(writes))
+    stats = cache.stats
+    stats.loads += n - stores
+    stats.stores += stores
+    stats.load_misses += int(io[4])
+    stats.store_misses += int(io[5])
+    stats.writebacks += int(io[8])
+    cache.main_hits += int(io[6])
+    cache.victim_hits += int(io[7])
+    return hits
 
 
 class _VictimBuffer:

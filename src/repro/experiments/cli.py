@@ -40,6 +40,11 @@ FILE``: replay a recorded on-disk trace (packed v2 — optionally
 gzip/bz2/xz/zstd-compressed — v1 binary/text, or Dinero ``.din``) instead
 of the synthetic workloads, streamed in ``--trace-chunk``-access batches on
 the vectorized engine so memory stays bounded for arbitrarily long traces.
+
+The vectorized engine runs its 2-way and victim-cache loops as compiled C
+when a C compiler is available (``REPRO_CEXT=0`` forces the Python kernels,
+``REPRO_CEXT=1`` makes a missing tier a one-line error); output is
+byte-identical either way.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from typing import List, Optional
 
 from ..cache.replacement import REPLACEMENT_POLICIES
 from ..engine import ENGINE_REFERENCE, ENGINES, ON_ERROR_POLICIES, PROFILE_MODES
+from ..engine.cext import ENV_VAR as CEXT_ENV_VAR, CExtError, kernel_tier
 from ..trace.workloads import workload_names
 from .column_assoc_study import run_column_assoc_study
 from .critical_path import run_critical_path_study
@@ -389,7 +395,15 @@ def _run_experiment(args: argparse.Namespace) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments, run the experiment, print its report; returns exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if os.environ.get(CEXT_ENV_VAR, "").strip() not in ("", "0"):
+        # A required (or misspelt) kernel tier fails here, in one line,
+        # not inside a sweep worker; the default stays lazy.
+        try:
+            kernel_tier()
+        except CExtError as exc:
+            parser.error(str(exc))
     print(_run_experiment(args))
     return 0
 

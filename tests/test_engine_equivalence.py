@@ -274,6 +274,7 @@ def assert_policy_state_equal(left, right):
 @pytest.mark.parametrize("trace_name", POLICY_TRACES)
 @pytest.mark.parametrize("scheme", NON_SKEWED_SCHEMES)
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
+@pytest.mark.usefixtures("forced_tier")
 class TestConventionalTwoWayVsGenericKernel:
     """A conventional 2-way cache runs the trace-order 2-way kernels with
     one set list for both ways.  They, the generic kernel and the scalar
@@ -398,6 +399,7 @@ def assert_victim_matches_scalar(scalar, batch_cache):
 
 @pytest.mark.parametrize("trace_name", POLICY_TRACES)
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
+@pytest.mark.usefixtures("forced_tier")
 class TestSkewDecomposedVsGenericKernel:
     """On skewed placement the dispatched kernel (the trace-order 2-way
     loops at two ways, the generic kernel at three), the generic kernel and
@@ -470,6 +472,7 @@ class TestSkewDecomposedVsGenericKernel:
 @pytest.mark.parametrize("trace_name", POLICY_TRACES)
 @pytest.mark.parametrize("ways", [1, 2])
 @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+@pytest.mark.usefixtures("forced_tier")
 class TestVictimDecomposedVsGenericKernel:
     """The dispatched victim kernel (decomposed for a 1-way main, generic
     for a 2-way main), the retained generic victim kernel and the scalar
@@ -525,6 +528,7 @@ class TestVictimDecomposedVsGenericKernel:
         assert_victim_state_equal(handoff, generic)
 
 
+@pytest.mark.usefixtures("forced_tier")
 def test_lru_skewed_two_way_vs_generic_ways_kernel():
     """The dedicated 2-way skewed LRU kernel and the generic-ways skewed
     LRU kernel are interchangeable on the same cache type."""
@@ -732,6 +736,7 @@ def test_decomposed_four_way_equivalence(policy, scheme):
 
 
 @pytest.mark.parametrize("policy", DECOMPOSED_POLICIES)
+@pytest.mark.usefixtures("forced_tier")
 def test_decomposed_warm_continuity_non_skewed(policy):
     """Split-batch decomposed runs on a conventional cache stay bit-exact
     with one scalar pass (state round-trips through the NumPy tables)."""
@@ -748,6 +753,7 @@ def test_decomposed_warm_continuity_non_skewed(policy):
 
 
 @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+@pytest.mark.usefixtures("forced_tier")
 def test_warm_continuity_with_policies(policy):
     """Split-batch runs of the policy kernel stay bit-exact with one scalar
     pass, proving the NumPy state tables round-trip between batches."""
@@ -761,6 +767,47 @@ def test_warm_continuity_with_policies(policy):
     np.testing.assert_array_equal(ref_hits, vec_hits)
     assert stats_snapshot(scalar.stats) == stats_snapshot(batch.stats)
     assert sorted(scalar.resident_blocks()) == sorted(batch.resident_blocks())
+
+
+def assert_policy_tables_match_scalar(reference, tables):
+    """A scalar policy's tables (`_stamp`, `_bits`, `_counter`) equal the
+    batch engine's NumPy state tables."""
+    if hasattr(reference, "_stamp"):
+        np.testing.assert_array_equal(
+            np.array(reference._stamp, dtype=np.int64), tables.stamps)
+    if hasattr(reference, "_bits"):
+        np.testing.assert_array_equal(
+            np.array(reference._bits, dtype=bool), tables.bits)
+    if hasattr(reference, "_counter"):
+        assert reference._counter == tables.counter
+
+
+@pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+@pytest.mark.usefixtures("forced_tier")
+def test_victim_flush_then_replay_keeps_clocks_running(policy):
+    """A flush forgets frames and replacement state but, like the scalar
+    model, keeps both access clocks running: after flush and replay both
+    structures' stamp tables equal the scalar model's `_stamp`."""
+    scalar = VictimCache(4096, 32, ways=1, victim_entries=8,
+                         replacement=policy)
+    batch = BatchVictimCache(4096, 32, ways=1, victim_entries=8,
+                             replacement=policy)
+    first = list(random_accesses(1500, 32 * 1024, write_fraction=0.3, seed=9))
+    second = list(random_accesses(1500, 32 * 1024, write_fraction=0.3,
+                                  seed=10))
+    ref_hits = [scalar_hit_sequence(scalar, first)]
+    vec_hits = [batch.run(batch_of(first))]
+    scalar.flush()
+    batch.flush()
+    ref_hits.append(scalar_hit_sequence(scalar, second))
+    vec_hits.append(batch.run(batch_of(second)))
+    np.testing.assert_array_equal(np.concatenate(ref_hits),
+                                  np.concatenate(vec_hits))
+    assert_victim_matches_scalar(scalar, batch)
+    assert_policy_tables_match_scalar(scalar._main._replacement,
+                                      batch._main_policy)
+    assert_policy_tables_match_scalar(scalar._victim._replacement,
+                                      batch._victim_policy)
 
 
 def test_vec_replacement_state_tables_are_numpy_resident():

@@ -316,10 +316,11 @@ class TestDerivedArrayMemos:
         assert first is not second and first == second
         assert memo_info()["set_lists"]["entries"] == 0
 
-    def test_skewed_kernel_hits_the_list_memo(self):
+    def test_skewed_kernel_hits_the_list_memo(self, forced_tier):
         """Regression for the kernels re-deriving per-way index lists per
         batch: the skewed batch kernels fetch their per-way streams through
-        the list memo, so a second cache over the same trace hits it."""
+        the list memo, so a second cache over the same trace hits it.  The
+        C tier reads the memoised arrays instead and builds no list."""
         from repro.engine import BatchSetAssociativeCache
 
         addresses, writes = cached_strided_arrays(23, elements=128, sweeps=3)
@@ -332,16 +333,19 @@ class TestDerivedArrayMemos:
                                                    address_bits=19),
                 replacement="fifo")
 
+        table = "set_lists" if forced_tier == "python" else "sets"
         build().run(batch)
-        info = memo_info()["set_lists"]
+        info = memo_info()[table]
         assert info["misses"] == 2 and info["hits"] == 0  # one per way
         build().run(batch)
-        info = memo_info()["set_lists"]
+        info = memo_info()[table]
         assert info["misses"] == 2 and info["hits"] == 2  # served, not rebuilt
+        if forced_tier == "c":
+            assert memo_info()["set_lists"]["misses"] == 0
 
-    def test_victim_kernel_hits_the_list_memo(self):
+    def test_victim_kernel_hits_the_list_memo(self, forced_tier):
         """The decomposed victim kernel routes its index stream through the
-        list memo too."""
+        list memo too (the array memo on the C tier)."""
         from repro.engine import BatchVictimCache
 
         addresses, writes = cached_strided_arrays(29, elements=128, sweeps=3)
@@ -350,10 +354,13 @@ class TestDerivedArrayMemos:
         def build():
             return BatchVictimCache(4096, 32, ways=1, victim_entries=8)
 
+        table = "set_lists" if forced_tier == "python" else "sets"
         build().run(batch)
-        assert memo_info()["set_lists"]["misses"] == 1
+        assert memo_info()[table]["misses"] == 1
         build().run(batch)
-        assert memo_info()["set_lists"]["hits"] == 1
+        assert memo_info()[table]["hits"] == 1
+        if forced_tier == "c":
+            assert memo_info()["set_lists"]["misses"] == 0
 
     def test_caches_survive_concurrent_thread_sweeps(self):
         """Thread-mode workers share the process-global caches; hammering
@@ -444,19 +451,21 @@ class TestBoundedMemoStats:
 
 
 class TestEndToEndMemoisation:
-    def test_repeated_vectorized_study_hits_the_caches(self):
+    def test_repeated_vectorized_study_hits_the_caches(self, forced_tier):
         from repro.experiments.replacement_study import run_replacement_study
 
+        # The Python policy kernels iterate the memoised set-index lists,
+        # the C tier the memoised set-index arrays.
+        table = "set_lists" if forced_tier == "python" else "sets"
         first = run_replacement_study(programs=["gcc"], accesses=2000,
                                       engine="vectorized")
         hits_before = trace_cache_info()["hits"]
-        list_hits_before = memo_info()["set_lists"]["hits"]
+        index_hits_before = memo_info()[table]["hits"]
         second = run_replacement_study(programs=["gcc"], accesses=2000,
                                        engine="vectorized")
         assert second.miss_ratios == first.miss_ratios
         assert trace_cache_info()["hits"] > hits_before
-        # The policy kernels iterate the memoised set-index lists.
-        assert memo_info()["set_lists"]["hits"] > list_hits_before
+        assert memo_info()[table]["hits"] > index_hits_before
 
     def test_cached_and_uncached_study_agree(self):
         """The memoised vectorized path matches the reference engine."""
