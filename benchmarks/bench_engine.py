@@ -55,13 +55,12 @@ artifact).  Each row records the kernel that served it, straight from
 comparing the profiler against the per-config vectorized path on a
 16-configuration conventional-LRU capacity/associativity grid (bounded at
 >= 5x for full-length runs).  A ``profiler`` section extends the sweep
-story to the approximate and FIFO paths: SHARDS-sampled profiling must
-beat exact profiling >= 20x on a dense 80-configuration LRU grid with
-per-seed miss-ratio error within ``SAMPLED_ERROR_BOUND``, and the
-single-pass FIFO profile must beat per-config FIFO kernels >= 5x,
-bit-exact on every cell.  A ``synthesis`` section times the Spec95
-workload mixtures (tomcatv, swim, gcc) built by the per-access generator
-against the array-native builder: byte-identical, bounded at >= 10x.
+story to the approximate path: SHARDS-sampled profiling must beat exact
+profiling >= 20x on a dense 80-configuration LRU grid with per-seed
+miss-ratio error within ``SAMPLED_ERROR_BOUND``.  A ``synthesis`` section
+times the Spec95 workload mixtures (tomcatv, swim, gcc) built by the
+per-access generator against the array-native builder: byte-identical,
+bounded at >= 10x.
 An ``ooo_pipeline`` section times the Table 2 path on gcc, tomcatv and
 swim under both index engines: one instruction-stream generation per
 program, replayed on the six Table 2 machines.  It reports generation us
@@ -96,6 +95,7 @@ from repro.engine import (
     AddressBatch,
     BatchSetAssociativeCache,
     BatchVictimCache,
+    ProfileCounts,
     batch_hierarchy_like,
     batch_virtual_real_like,
     kernel_tier,
@@ -170,22 +170,6 @@ SAMPLED_RATE = 0.01
 #: lines), priced out of five exact or five miniature level passes.
 SAMPLED_GRID = [(num_sets, ways) for num_sets in (512, 1024, 2048, 4096, 8192)
                 for ways in range(1, 17)]
-
-#: Minimum FIFO-profile-over-per-config-kernels ratio on the FIFO grid
-#: below.  The event replay's cost scales with the *miss* count, so the
-#: win is trace-dependent: locality-rich traces (m88ksim: ~2-4% miss
-#: ratios) measure ~13x, miss-heavy ones (gcc: ~10-20%) only ~2x.  The
-#: bench uses the locality-rich workload and asserts the tentpole's 5x.
-REQUIRED_SPEEDUP_FIFO_GRID = 5.0
-
-#: The bit-selection FIFO grid: four set counts x four associativities
-#: = 16 configurations, priced by one occurrence-list pass + 16 miss-driven
-#: event replays.
-FIFO_GRID = [(num_sets, ways) for num_sets in (256, 512, 1024, 2048)
-             for ways in (1, 2, 4, 8)]
-
-#: Workload of the FIFO grid section (see REQUIRED_SPEEDUP_FIFO_GRID).
-FIFO_GRID_PROGRAM = "m88ksim"
 
 #: Below this trace length the constant batch-setup overhead dominates and
 #: wall-clock ratios are noise, so the speedup assertions are skipped (the
@@ -490,16 +474,29 @@ def compare_virtual_real_engines(accesses=BENCH_ENGINE_ACCESSES):
     }
 
 
+def _per_config_grid(trace, block_size, grid):
+    """Run every ``(num_sets, ways)`` LRU cell of ``grid`` on its own batch
+    kernel: the per-config side the one-pass profiler is timed against."""
+    results = {}
+    for num_sets, ways in grid:
+        cache = BatchSetAssociativeCache(num_sets * ways * block_size,
+                                         block_size, ways)
+        cache.run(trace)
+        results[(num_sets, ways)] = ProfileCounts.from_stats(cache.stats)
+    return results
+
+
 def compare_lru_grid_sweep(accesses=BENCH_ENGINE_ACCESSES, check_scalar=True):
     """Time the 16-configuration LRU grid: one-pass profiler vs per-config.
 
-    Both timings drive the *vectorized* engine over the same trace through
-    :func:`repro.engine.run_lru_grid` — ``profile="never"`` runs each
-    configuration's own batch kernel, ``profile="always"`` prices the whole
-    grid out of one capped stack pass per set count.  Every configuration's
-    counts must agree exactly between the two paths (and, when
-    ``check_scalar`` is set, with a scalar-model replay), so the sweep-level
-    speedup claim can never drift away from correctness.
+    Both timings drive the *vectorized* engine over the same trace — the
+    per-config side runs each configuration's own batch kernel, and
+    :func:`repro.engine.run_lru_grid` (whose ``auto`` mode profiles every
+    cell of this grid) prices the whole grid out of one capped stack pass
+    per set count.  Every configuration's counts must agree exactly
+    between the two paths (and, when ``check_scalar`` is set, with a
+    scalar-model replay), so the sweep-level speedup claim can never drift
+    away from correctness.
 
     The scalar cross-check replays the trace once per grid configuration
     outside the timed regions; at the default 1M accesses that dominates
@@ -512,12 +509,12 @@ def compare_lru_grid_sweep(accesses=BENCH_ENGINE_ACCESSES, check_scalar=True):
     block_size = PAPER_L1_8KB.block_size
 
     start = time.perf_counter()
-    per_config = run_lru_grid(trace, block_size, SWEEP_GRID, profile="never")
+    per_config = _per_config_grid(trace, block_size, SWEEP_GRID)
     per_config_seconds = time.perf_counter() - start
 
     profile_cache_clear()  # time a cold profile, not a memo hit
     start = time.perf_counter()
-    profiled = run_lru_grid(trace, block_size, SWEEP_GRID, profile="always")
+    profiled = run_lru_grid(trace, block_size, SWEEP_GRID)
     profile_seconds = time.perf_counter() - start
 
     configs = []
@@ -581,8 +578,8 @@ def compare_sampled_profiler(accesses=BENCH_ENGINE_ACCESSES):
 
     Both sides price all ``len(SAMPLED_GRID)`` configurations through
     :func:`repro.engine.run_lru_grid` over the same spread-mass trace —
-    ``profile="always"`` runs the exact one-pass-per-level profiler,
-    ``profile="sampled"`` the miniature-simulation profiles at
+    ``profile="auto"`` runs the exact one-pass-per-level profiler on every
+    cell, ``profile="sampled"`` the miniature-simulation profiles at
     ``SAMPLED_RATE``.  Each seed in ``SAMPLED_SEEDS`` is timed separately
     and its worst-cell miss-ratio error recorded; the caller asserts the
     speedup and error bounds on full-length runs.
@@ -592,7 +589,7 @@ def compare_sampled_profiler(accesses=BENCH_ENGINE_ACCESSES):
 
     profile_cache_clear()  # time a cold exact profile, not a memo hit
     start = time.perf_counter()
-    exact = run_lru_grid(trace, block_size, SAMPLED_GRID, profile="always")
+    exact = run_lru_grid(trace, block_size, SAMPLED_GRID, profile="auto")
     exact_seconds = time.perf_counter() - start
 
     seeds = []
@@ -614,65 +611,6 @@ def compare_sampled_profiler(accesses=BENCH_ENGINE_ACCESSES):
         "rate": SAMPLED_RATE,
         "exact_seconds": exact_seconds,
         "seeds": seeds,
-    }
-
-
-def compare_fifo_grid(accesses=BENCH_ENGINE_ACCESSES, check_scalar=False):
-    """Time the single-pass FIFO profile against per-config FIFO kernels.
-
-    Both sides drive :func:`repro.engine.run_lru_grid` with
-    ``replacement="fifo"`` over the same workload trace —
-    ``profile="never"`` runs each configuration's per-config FIFO
-    kernel, ``profile="always"`` prices the whole grid out of one
-    occurrence-list pass plus a miss-driven event replay per cell.  Every
-    cell must agree exactly (FIFO profiling is exact, not sampled), with an
-    optional scalar-model cross-check outside the timed regions.
-    """
-    from repro.trace.batching import cached_workload_arrays
-
-    addresses, writes = cached_workload_arrays(FIFO_GRID_PROGRAM,
-                                               length=accesses)
-    trace = AddressBatch.from_arrays(addresses, writes)
-    block_size = 32
-
-    start = time.perf_counter()
-    per_config = run_lru_grid(trace, block_size, FIFO_GRID, profile="never",
-                              replacement="fifo")
-    per_config_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    profiled = run_lru_grid(trace, block_size, FIFO_GRID, profile="always",
-                            replacement="fifo")
-    profile_seconds = time.perf_counter() - start
-
-    for num_sets, ways in FIFO_GRID:
-        counts = profiled[(num_sets, ways)]
-        assert counts == per_config[(num_sets, ways)], (
-            f"FIFO profile diverged from per-config kernels at "
-            f"{num_sets} sets x {ways} ways")
-        if check_scalar:
-            scalar = SetAssociativeCache(num_sets * ways * block_size,
-                                         block_size, ways,
-                                         replacement="fifo")
-            for address, is_write in zip(trace.addresses.tolist(),
-                                         trace.is_write.tolist()):
-                scalar.access(address, is_write=is_write)
-            assert (scalar.stats.loads, scalar.stats.stores,
-                    scalar.stats.load_misses, scalar.stats.store_misses) == (
-                counts.loads, counts.stores,
-                counts.load_misses, counts.store_misses), (
-                f"FIFO profile diverged from the scalar model at "
-                f"{num_sets} sets x {ways} ways")
-    return {
-        "kernel": "multiconfig-fifo-profile",
-        "per_config_tier": kernel_tier(),
-        "configs": len(FIFO_GRID),
-        "accesses": len(trace),
-        "program": FIFO_GRID_PROGRAM,
-        "per_config_seconds": per_config_seconds,
-        "profile_seconds": profile_seconds,
-        "speedup": per_config_seconds / profile_seconds,
-        "scalar_checked": bool(check_scalar),
     }
 
 
@@ -866,12 +804,12 @@ def test_lru_grid_profiler_throughput(benchmark):
     block_size = PAPER_L1_8KB.block_size
 
     start = time.perf_counter()
-    per_config = run_lru_grid(trace, block_size, SWEEP_GRID, profile="never")
+    per_config = _per_config_grid(trace, block_size, SWEEP_GRID)
     per_config_seconds = time.perf_counter() - start
 
     def _profiled_run():
         profile_cache_clear()
-        return run_lru_grid(trace, block_size, SWEEP_GRID, profile="always")
+        return run_lru_grid(trace, block_size, SWEEP_GRID)
 
     profiled = benchmark.pedantic(_profiled_run, rounds=3, iterations=1)
     profile_seconds = benchmark.stats.stats.min
@@ -907,22 +845,6 @@ def test_sampled_profiler_throughput(benchmark):
                 f"seed {entry['seed']}: max miss-ratio error "
                 f"{entry['max_miss_ratio_error']:.4f} exceeds "
                 f"{SAMPLED_ERROR_BOUND}")
-
-
-@pytest.mark.benchmark(group="engine-sweep")
-def test_fifo_grid_profiler_throughput(benchmark):
-    """The single-pass FIFO profile beats per-config FIFO kernels >= 5x,
-    bit-exact on every grid cell."""
-    result = benchmark.pedantic(
-        lambda: compare_fifo_grid(BENCH_ENGINE_ACCESSES),
-        rounds=1, iterations=1)
-    print(f"\nfifo-grid x{result['configs']} ({result['program']}): "
-          f"per-config {result['per_config_seconds']:.2f}s, profile "
-          f"{result['profile_seconds']:.2f}s ({result['speedup']:.1f}x)")
-    if BENCH_ENGINE_ACCESSES >= MIN_ACCESSES_FOR_SPEEDUP_CHECK:
-        assert result["speedup"] >= REQUIRED_SPEEDUP_FIFO_GRID, (
-            f"fifo-grid: profile only {result['speedup']:.1f}x over "
-            f"per-config (required {REQUIRED_SPEEDUP_FIFO_GRID}x)")
 
 
 def _load_trajectory(path):
@@ -966,7 +888,6 @@ def _write_artifact(rows, accesses, path=BENCH_ENGINE_JSON, sweep=None,
         "required_speedup_trace_io": REQUIRED_SPEEDUP_TRACE_IO,
         "required_speedup_synthesis": REQUIRED_SPEEDUP_SYNTH,
         "required_speedup_sampled": REQUIRED_SPEEDUP_SAMPLED,
-        "required_speedup_fifo_grid": REQUIRED_SPEEDUP_FIFO_GRID,
         "sampled_error_bound": SAMPLED_ERROR_BOUND,
         "rows": rows,
         "sweep": sweep,
@@ -1278,8 +1199,7 @@ def main(argv=None):
             f"lru-grid sweep: profiler only {sweep['speedup']:.1f}x over "
             f"per-config (required {REQUIRED_SPEEDUP_SWEEP}x)")
 
-    # Profiler section: SHARDS-sampled vs exact on the dense LRU grid, and
-    # the single-pass FIFO profile vs per-config FIFO kernels.
+    # Profiler section: SHARDS-sampled vs exact on the dense LRU grid.
     sampled = compare_sampled_profiler(accesses=accesses)
     print(f"\nsampled-grid ({sampled['configs']} conventional-LRU configs, "
           f"{sampled['accesses']:,} accesses, R={sampled['rate']}): exact "
@@ -1296,18 +1216,7 @@ def main(argv=None):
                 f"seed {entry['seed']}: max miss-ratio error "
                 f"{entry['max_miss_ratio_error']:.4f} exceeds "
                 f"{SAMPLED_ERROR_BOUND}")
-    fifo_grid = compare_fifo_grid(accesses=accesses,
-                                  check_scalar=args.smoke)
-    print(f"fifo-grid ({fifo_grid['configs']} FIFO configs, "
-          f"{fifo_grid['accesses']:,} accesses of {fifo_grid['program']}): "
-          f"per-config {fifo_grid['per_config_seconds']:.2f}s, one-pass "
-          f"profile {fifo_grid['profile_seconds']:.2f}s "
-          f"({fifo_grid['speedup']:.1f}x), bit-exact on every cell")
-    if check_bounds:
-        assert fifo_grid["speedup"] >= REQUIRED_SPEEDUP_FIFO_GRID, (
-            f"fifo-grid: profile only {fifo_grid['speedup']:.1f}x over "
-            f"per-config (required {REQUIRED_SPEEDUP_FIFO_GRID}x)")
-    profiler = {"sampled": sampled, "fifo_grid": fifo_grid}
+    profiler = {"sampled": sampled}
 
     # Trace-I/O section: on-disk ingestion throughput per format/read mode.
     trace_io = compare_trace_io(accesses=accesses)

@@ -27,11 +27,10 @@ through :mod:`repro.engine.checkpoint`; :mod:`repro.engine.faults` is the
 deterministic chaos harness that proves those paths bit-exact).
 :mod:`repro.engine.multiconfig` prices whole conventional-LRU
 capacity/associativity sweeps out of single stack-distance /
-all-associativity trace passes, and FIFO grids out of miss-driven event
-replays of one occurrence-list pass (``MultiConfigPlan`` partitions a
-sweep's tasks into profilable and kernel-run configurations; drivers
-expose the policy as ``profile={"auto", "always", "never", "sampled"}``,
-where ``"sampled"`` prices LRU groups approximately through the SHARDS
+all-associativity trace passes (``MultiConfigPlan`` partitions a sweep's
+tasks into profilable and kernel-run configurations; drivers expose the
+policy as ``profile={"auto", "sampled"}``, where ``"auto"`` is exact and
+``"sampled"`` prices LRU groups approximately through the SHARDS
 spatial-sampling profiles of :mod:`repro.engine.shards` at
 ``--sample-rate``/``--sample-size``/``--profile-seed``).
 
@@ -65,9 +64,6 @@ from .memo import (
 )
 from .multiconfig import (
     PROFILE_MODES,
-    MultiCapacityFIFOProfile,
-    MultiConfigFIFOBuilder,
-    MultiConfigFIFOProfile,
     MultiConfigLRUProfile,
     MultiConfigPlan,
     MultiConfigProfileBuilder,
@@ -152,9 +148,6 @@ __all__ = [
     "StackDistanceBuilder",
     "MultiConfigLRUProfile",
     "MultiConfigProfileBuilder",
-    "MultiCapacityFIFOProfile",
-    "MultiConfigFIFOProfile",
-    "MultiConfigFIFOBuilder",
     "SampledStackDistanceProfile",
     "SampledStackDistanceBuilder",
     "SampledMultiConfigLRUProfile",

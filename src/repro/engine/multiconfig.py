@@ -21,22 +21,14 @@ alternatives:
   fixed block size costs one pass per distinct ``num_sets`` instead of one
   per configuration.
 
-* **Single-pass FIFO grids** (:class:`MultiConfigFIFOProfile`,
-  :class:`MultiCapacityFIFOProfile`): FIFO is not a stack algorithm
-  (Belady's anomaly), but it is *hit-transparent* — hits never mutate FIFO
-  state — so after one vectorized occurrence-list pass each configuration
-  is priced by an event-driven replay that touches only its misses, exact
-  to the per-configuration kernels at a cost proportional to the miss
-  count.
-
 * **Sweep partitioning** (:class:`MultiConfigPlan`): experiment sweeps hand
   their task list to a plan, which splits it into *profilable*
-  configurations (conventional bit-selection placement, LRU or FIFO
-  replacement, no 3C classifier, cold cache, and no write-policy
-  divergence — see below) served out of shared profiles, and everything
-  else (skewed, I-Poly, victim, column, other policies), which keeps its
-  PR 3/4 kernels untouched.  ``profile="sampled"`` swaps the exact LRU
-  profile for the approximate SHARDS one of :mod:`repro.engine.shards`.
+  configurations (conventional bit-selection placement, LRU replacement,
+  no 3C classifier, cold cache — see below) served out of shared profiles,
+  and everything else (skewed, I-Poly, victim, column, FIFO and the other
+  policies), which runs its own per-configuration kernel.
+  ``profile="sampled"`` swaps the exact LRU profile for the approximate
+  SHARDS one of :mod:`repro.engine.shards`.
 
 Write-policy divergence
 -----------------------
@@ -63,9 +55,7 @@ count, depth cap, store mode) with the same identity-anchor safety rules as
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,30 +75,25 @@ __all__ = [
     "StackDistanceBuilder",
     "MultiConfigLRUProfile",
     "MultiConfigProfileBuilder",
-    "MultiCapacityFIFOProfile",
-    "MultiConfigFIFOProfile",
-    "MultiConfigFIFOBuilder",
     "MultiConfigPlan",
     "run_lru_grid",
     "profile_cache_info",
     "profile_cache_clear",
 ]
 
-#: Valid values of every driver's ``profile`` parameter: ``"auto"`` profiles
-#: a group only when it is expected to win (two or more configurations after
-#: setting aside any too-deep member, which stays on its own kernel),
-#: ``"always"`` forces the profiler onto every profilable task, ``"never"``
-#: keeps every task on its per-configuration kernel, and ``"sampled"``
-#: prices LRU groups approximately through the SHARDS profiles of
-#: :mod:`repro.engine.shards` (FIFO groups stay on the exact single-pass
-#: profiler — its cost already scales with misses, not accesses).
-PROFILE_MODES = ("auto", "always", "never", "sampled")
+#: Valid values of every driver's ``profile`` parameter: ``"auto"`` prices
+#: a group exactly out of one profile when it is expected to win (two or
+#: more configurations after setting aside any too-deep member, which stays
+#: on its own kernel) and runs every other task's kernel; ``"sampled"``
+#: prices every profilable task approximately through the SHARDS profiles
+#: of :mod:`repro.engine.shards`.
+PROFILE_MODES = ("auto", "sampled")
 
 #: Deepest per-set stack the ``"auto"`` policy will profile.  Beyond this the
 #: per-access walk (which is linear in the depth cap on misses) can lose to
 #: a handful of per-configuration kernel runs — e.g. the 256-deep
-#: fully-associative organisation of the miss-ratio study — so such levels
-#: only profile under ``profile="always"``.
+#: fully-associative organisation of the miss-ratio study — so such
+#: configurations run their own kernel.
 PROFILE_AUTO_CAP_LIMIT = 64
 
 #: Smallest group the ``"auto"`` policy profiles: a single configuration is
@@ -825,345 +810,6 @@ def profile_cache_clear() -> None:
 
 
 # --------------------------------------------------------------------- #
-# part (b2): single-pass multi-capacity FIFO profiling
-# --------------------------------------------------------------------- #
-
-def _occurrence_lists(blocks: np.ndarray) -> Tuple[np.ndarray, List[List[int]]]:
-    """Distinct block numbers and each one's ascending access positions.
-
-    One stable vectorized sort of the block stream; the per-block position
-    lists then serve *every* FIFO configuration priced from the stream
-    (the single trace-order pass all the event simulations share).
-    """
-    blocks = np.asarray(blocks)
-    if blocks.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), []
-    order = np.argsort(blocks, kind="stable")
-    sorted_blocks = blocks[order]
-    boundary = np.empty(sorted_blocks.shape[0], dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    values = sorted_blocks[starts].astype(np.int64, copy=False)
-    occurrences = [part.tolist() for part in np.split(order, starts[1:])]
-    return values, occurrences
-
-
-def _fifo_level_counts(num_sets: int, ways: int, mode: str,
-                       occurrences: List[List[int]],
-                       block_sets: List[int],
-                       first_events: List[int],
-                       is_write: Optional[List[bool]],
-                       ) -> Tuple[int, int]:
-    """Load/store misses of one ``(num_sets, ways)`` FIFO configuration.
-
-    Event-driven over misses only — FIFO's **hit transparency**: a hit
-    never mutates FIFO state (the queue reorders only on allocation), so
-    every access between a block's allocation and its eviction can be
-    skipped wholesale.  The pending-miss heap holds, per non-resident block
-    with a future access, that access's position; popping in position order
-    replays exactly the misses the per-access kernel would count.  Each
-    allocation appends to its set's insertion log, and the victim of
-    allocation ``a`` is the block logged at ``a - ways`` (a block is never
-    re-allocated while resident, so log entries are live exactly once) —
-    whose next access after the eviction point re-enters the heap as a
-    pending miss.  Cost is O((footprint + misses) log footprint),
-    independent of the hit count.
-
-    Events are single ints, ``position << shift | block_index`` (a pending
-    block's event sits at a position accessing that very block, so events
-    occupy distinct positions and the packed ordering is the position
-    ordering) — plain-int heap compares are markedly cheaper than tuple
-    compares, and ``next_occ`` carries each block's pending occurrence
-    index on the side.
-    """
-    shift = max(1, len(occurrences)).bit_length()
-    mask = (1 << shift) - 1
-    heap = list(first_events)  # ascending unique positions: already a heap
-    next_occ = [0] * len(occurrences)
-    lmiss = 0
-    smiss = 0
-    rings: List[List[int]] = [[] for _ in range(num_sets)]
-    wtna = mode == "wtna"
-    classify = mode != "loads" and is_write is not None
-    pop, push = heappop, heappush
-    while heap:
-        event = pop(heap)
-        block = event & mask
-        pos = event >> shift
-        if classify and is_write[pos]:
-            smiss += 1
-            if wtna:
-                # Write-through/no-allocate store miss: no state change;
-                # the block's very next access is still a pending miss.
-                occ = occurrences[block]
-                index = next_occ[block] + 1
-                if index < len(occ):
-                    next_occ[block] = index
-                    push(heap, (occ[index] << shift) | block)
-                continue
-        else:
-            lmiss += 1
-        ring = rings[block_sets[block]]
-        ring.append(block)
-        alloc = len(ring)
-        if alloc > ways:
-            victim = ring[alloc - ways - 1]
-            occ = occurrences[victim]
-            index = bisect_right(occ, pos)
-            if index < len(occ):
-                next_occ[victim] = index
-                push(heap, (occ[index] << shift) | victim)
-    return lmiss, smiss
-
-
-class MultiConfigFIFOProfile:
-    """Single-pass pricing of a bit-selection ``(num_sets, ways)`` FIFO grid.
-
-    FIFO is **not** a stack algorithm (Belady's anomaly: a larger cache can
-    miss more), so no reuse-distance histogram can serve every capacity the
-    way :class:`MultiConfigLRUProfile` does.  What FIFO does have is *hit
-    transparency*: hits never touch FIFO state.  This profile therefore
-    makes one vectorized pass over the trace (per-block occurrence lists),
-    after which each requested configuration is priced by an event-driven
-    replay that touches only its misses — exact to the per-configuration
-    kernels, at a cost proportional to the miss count rather than the
-    access count.  Configurations are priced lazily on first query and
-    memoised for the profile's lifetime.
-
-    Store semantics match the batch kernels: a write-back/write-allocate
-    store misses like a load (dirtiness never changes the queue), a
-    write-through/no-allocate store miss leaves the set untouched.
-    """
-
-    def __init__(self, batch: AddressBatch, block_size: int,
-                 level_caps: Mapping[int, int],
-                 write_policy: str = WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
-                 ) -> None:
-        if write_policy not in WritePolicy.ALL:
-            raise ValueError(f"unknown write policy {write_policy!r}")
-        mode = _store_mode(batch.has_stores, write_policy)
-        blocks = cached_block_numbers(batch, block_size)
-        stores = int(batch.store_count)
-        writes = batch.is_write if mode != "loads" else None
-        self._init_from_arrays(block_size, mode, blocks, writes,
-                               int(blocks.shape[0]) - stores, stores,
-                               level_caps)
-
-    def _init_from_arrays(self, block_size: int, mode: str,
-                          blocks: np.ndarray, writes: Optional[np.ndarray],
-                          loads: int, stores: int,
-                          level_caps: Mapping[int, int]) -> None:
-        self._block_size = block_size
-        self._mode = mode
-        self._loads = loads
-        self._stores = stores
-        self._level_caps = _checked_level_caps(level_caps)
-        self._values, self._occurrences = _occurrence_lists(blocks)
-        shift = max(1, len(self._occurrences)).bit_length()
-        self._first_events = sorted(
-            (occ[0] << shift) | index
-            for index, occ in enumerate(self._occurrences))
-        self._is_write = writes.tolist() if writes is not None else None
-        self._block_sets: Dict[int, List[int]] = {}
-        self._counts: Dict[Tuple[int, int], Tuple[int, int]] = {}
-
-    @classmethod
-    def _from_arrays(cls, block_size: int, mode: str, blocks: np.ndarray,
-                     writes: Optional[np.ndarray], loads: int, stores: int,
-                     level_caps: Mapping[int, int],
-                     ) -> "MultiConfigFIFOProfile":
-        self = cls.__new__(cls)
-        self._init_from_arrays(block_size, mode, blocks, writes, loads,
-                               stores, level_caps)
-        return self
-
-    # -- readout ------------------------------------------------------- #
-
-    @property
-    def block_size(self) -> int:
-        """Line size the profile was taken at."""
-        return self._block_size
-
-    @property
-    def store_mode(self) -> str:
-        """Store semantics used (``loads``, ``uniform`` or ``wtna``)."""
-        return self._mode
-
-    @property
-    def accesses(self) -> int:
-        """Total accesses in the profiled stream."""
-        return self._loads + self._stores
-
-    @property
-    def levels(self) -> List[int]:
-        """Set counts the profile can price, ascending."""
-        return sorted(self._level_caps)
-
-    def miss_counts(self, num_sets: int, ways: int) -> ProfileCounts:
-        """Exact counters of the ``(num_sets, ways)`` FIFO configuration."""
-        cap = self._level_caps.get(num_sets)
-        if cap is None:
-            raise KeyError(f"set count {num_sets} was not profiled "
-                           f"(levels: {self.levels})")
-        if ways > cap:
-            raise ValueError(
-                f"ways {ways} exceeds the profiled depth cap {cap} "
-                f"at {num_sets} sets")
-        if ways < 1:
-            raise ValueError("ways must be at least 1")
-        counts = self._counts.get((num_sets, ways))
-        if counts is None:
-            block_sets = self._block_sets.get(num_sets)
-            if block_sets is None:
-                mask = np.int64(num_sets - 1)
-                block_sets = (self._values & mask).tolist()
-                self._block_sets[num_sets] = block_sets
-            counts = _fifo_level_counts(
-                num_sets, ways, self._mode, self._occurrences, block_sets,
-                self._first_events, self._is_write)
-            self._counts[(num_sets, ways)] = counts
-        lmiss, smiss = counts
-        return ProfileCounts(loads=self._loads, stores=self._stores,
-                             load_misses=lmiss, store_misses=smiss)
-
-
-class MultiCapacityFIFOProfile:
-    """Fully-associative FIFO miss-ratio readout at every listed capacity.
-
-    The fully-associative face of :class:`MultiConfigFIFOProfile` (one set,
-    ways = capacity in blocks), mirroring
-    :class:`StackDistanceProfile`'s readout API over a block-number
-    stream.  Because FIFO lacks the stack property the capacities must be
-    declared up front — each is priced by its own miss-driven event replay
-    off the shared single pass.
-    """
-
-    def __init__(self, blocks: np.ndarray,
-                 capacities: Sequence[int]) -> None:
-        capacities = sorted({int(c) for c in capacities})
-        if not capacities:
-            raise ValueError("capacities must name at least one size")
-        if capacities[0] < 1:
-            raise ValueError("capacities must be positive")
-        blocks = np.asarray(blocks, dtype=np.int64)
-        self._accesses = int(blocks.shape[0])
-        self._grid = MultiConfigFIFOProfile._from_arrays(
-            1, "loads", blocks, None, self._accesses, 0,
-            {1: capacities[-1]})
-        self._capacities = capacities
-
-    @classmethod
-    def from_batch(cls, batch: AddressBatch, block_size: int,
-                   capacities: Sequence[int]) -> "MultiCapacityFIFOProfile":
-        """Profile a batch's block stream at the given line size."""
-        return cls(cached_block_numbers(batch, block_size), capacities)
-
-    @property
-    def accesses(self) -> int:
-        """Accesses in the profiled stream."""
-        return self._accesses
-
-    @property
-    def capacities(self) -> List[int]:
-        """Capacities (in blocks) the profile prices, ascending."""
-        return list(self._capacities)
-
-    def miss_count(self, capacity_blocks: int) -> int:
-        """Exact misses of a FIFO cache of that capacity."""
-        if capacity_blocks not in self._capacities:
-            raise KeyError(
-                f"capacity {capacity_blocks} was not profiled "
-                f"(capacities: {self._capacities})")
-        return self._grid.miss_counts(1, capacity_blocks).misses
-
-    def hit_count(self, capacity_blocks: int) -> int:
-        """Exact hits at one capacity."""
-        return self._accesses - self.miss_count(capacity_blocks)
-
-    def miss_ratio(self, capacity_blocks: int) -> float:
-        """Exact miss ratio at one capacity; 0.0 for an empty stream."""
-        if not self._accesses:
-            return 0.0
-        return self.miss_count(capacity_blocks) / self._accesses
-
-    def miss_ratio_curve(self, capacities: Optional[Sequence[int]] = None,
-                         ) -> np.ndarray:
-        """Miss ratio at each capacity (defaults to every profiled one)."""
-        if capacities is None:
-            capacities = self._capacities
-        return np.array([self.miss_ratio(c) for c in capacities])
-
-
-class MultiConfigFIFOBuilder:
-    """Incremental :class:`MultiConfigFIFOProfile` over a chunked stream.
-
-    The FIFO profile needs whole-trace occurrence lists, so the builder
-    simply accumulates each chunk's block numbers (and store mask) and
-    defers the single vectorized pass to :meth:`finish` — bit-identical to
-    the one-shot profile of the concatenated trace by construction, with
-    peak extra memory of one int64 per access.
-
-    As with the exact LRU builder the store mode is fixed up front;
-    feeding a chunk that contradicts it raises immediately.
-    """
-
-    def __init__(self, block_size: int, level_caps: Mapping[int, int],
-                 write_policy: str = WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
-                 has_stores: bool = True) -> None:
-        if write_policy not in WritePolicy.ALL:
-            raise ValueError(f"unknown write policy {write_policy!r}")
-        self._block_size = block_size
-        self._mode = _store_mode(has_stores, write_policy)
-        self._level_caps = _checked_level_caps(level_caps)
-        self._chunks: List[np.ndarray] = []
-        self._write_chunks: List[np.ndarray] = []
-        self._loads = 0
-        self._stores = 0
-
-    @property
-    def store_mode(self) -> str:
-        """Store semantics used (``loads``, ``uniform`` or ``wtna``)."""
-        return self._mode
-
-    @property
-    def accesses(self) -> int:
-        """Accesses consumed so far."""
-        return self._loads + self._stores
-
-    def feed(self, batch: AddressBatch) -> int:
-        """Consume one chunk; returns its length."""
-        if self._mode == "loads" and batch.has_stores:
-            raise ValueError(
-                "store mode changed mid-stream: this builder was created "
-                "with has_stores=False but the chunk fed after "
-                f"{self.accesses} accesses contains stores; create the "
-                "builder with has_stores=True (the write policy's store "
-                "semantics then apply to every chunk)")
-        blocks = cached_block_numbers(batch, self._block_size)
-        stores = int(batch.store_count)
-        self._chunks.append(blocks)
-        if self._mode != "loads":
-            self._write_chunks.append(batch.is_write)
-        self._loads += int(blocks.shape[0]) - stores
-        self._stores += stores
-        return int(blocks.shape[0])
-
-    def finish(self) -> MultiConfigFIFOProfile:
-        """Freeze into a profile (builder stays usable for more chunks)."""
-        if self._chunks:
-            blocks = np.concatenate(self._chunks)
-            writes = (np.concatenate(self._write_chunks)
-                      if self._mode != "loads" else None)
-        else:
-            blocks = np.empty(0, dtype=np.int64)
-            writes = None
-        return MultiConfigFIFOProfile._from_arrays(
-            self._block_size, self._mode, blocks, writes,
-            self._loads, self._stores, self._level_caps)
-
-
-# --------------------------------------------------------------------- #
 # part (c): sweep partitioning
 # --------------------------------------------------------------------- #
 
@@ -1180,7 +826,6 @@ class _PlanTask:
     cache: object
     runner: Optional[Callable]
     level: Optional[Tuple[int, int]]  # (num_sets, ways) when profilable
-    kind: Optional[str] = None        # "lru" or "fifo" when profilable
 
 
 class MultiConfigPlan:
@@ -1199,8 +844,8 @@ class MultiConfigPlan:
     expected to win: at least two configurations no deeper than
     :data:`PROFILE_AUTO_CAP_LIMIT` ways (a deeper member — e.g. a 256-way
     fully-associative organisation — stays on its own kernel without
-    vetoing the shallow rest of its group).  ``"always"`` and ``"never"``
-    force the choice either way (both still bit-exact).
+    vetoing the shallow rest of its group).  ``"sampled"`` prices every
+    profilable task out of a SHARDS-sampled profile instead.
     """
 
     def __init__(self, profile: str = "auto", sample_rate: float = 0.01,
@@ -1222,18 +867,6 @@ class MultiConfigPlan:
         self._tasks: List[_PlanTask] = []
 
     @staticmethod
-    def _profilable_shape(cache) -> Optional[Tuple[int, int]]:
-        """Common profilability gate: cold bit-selection batch cache."""
-        if not isinstance(cache, BatchSetAssociativeCache):
-            return None
-        if cache._classifier is not None or cache._clock != 0:
-            return None
-        key = cache.index_function.cache_key
-        if key is None or key[0] not in _BIT_SELECT_KEYS:
-            return None
-        return cache.num_sets, cache.ways
-
-    @staticmethod
     def profilable(cache, batch: AddressBatch) -> Optional[Tuple[int, int]]:
         """The ``(num_sets, ways)`` level a cache can be profiled at, or None.
 
@@ -1243,22 +876,16 @@ class MultiConfigPlan:
         difference — but a warmed cache never does (profiles assume a cold
         start).
         """
-        if getattr(cache, "replacement_name", None) != "lru":
+        if not isinstance(cache, BatchSetAssociativeCache):
             return None
-        return MultiConfigPlan._profilable_shape(cache)
-
-    @staticmethod
-    def profilable_fifo(cache, batch: AddressBatch,
-                        ) -> Optional[Tuple[int, int]]:
-        """The ``(num_sets, ways)`` level of a FIFO-profilable cache, or None.
-
-        Same shape gate as :meth:`profilable` with FIFO replacement: such
-        tasks are priced by :class:`MultiConfigFIFOProfile`'s miss-driven
-        event replays instead of per-configuration kernel passes.
-        """
-        if getattr(cache, "replacement_name", None) != "fifo":
+        if cache.replacement_name != "lru":
             return None
-        return MultiConfigPlan._profilable_shape(cache)
+        if cache._classifier is not None or cache._clock != 0:
+            return None
+        key = cache.index_function.cache_key
+        if key is None or key[0] not in _BIT_SELECT_KEYS:
+            return None
+        return cache.num_sets, cache.ways
 
     def add(self, key: Hashable, batch: AddressBatch,
             factory: Callable[[], object],
@@ -1270,18 +897,9 @@ class MultiConfigPlan:
         replay shim so caller-supplied organisations keep working.
         """
         cache = factory()
-        level = None
-        kind = None
-        if self._profile != "never":
-            level = self.profilable(cache, batch)
-            if level is not None:
-                kind = "lru"
-            else:
-                level = self.profilable_fifo(cache, batch)
-                if level is not None:
-                    kind = "fifo"
         self._tasks.append(_PlanTask(key=key, batch=batch, cache=cache,
-                                     runner=runner, level=level, kind=kind))
+                                     runner=runner,
+                                     level=self.profilable(cache, batch)))
 
     def _group_key(self, task: _PlanTask) -> tuple:
         cache = task.cache
@@ -1291,16 +909,11 @@ class MultiConfigPlan:
         # too (an all-loads mask is behaviourally unique, so "loads" mode
         # only needs the addresses).
         mask_id = id(task.batch.is_write) if mode != "loads" else None
-        return (task.kind, id(task.batch.addresses), mask_id,
-                cache.block_size, mode)
+        return (id(task.batch.addresses), mask_id, cache.block_size, mode)
 
-    def _build_profile(self, kind: str, exemplar: _PlanTask,
+    def _build_profile(self, exemplar: _PlanTask,
                        level_caps: Dict[int, int]):
         """The shared profile one task group is priced out of."""
-        if kind == "fifo":
-            return MultiConfigFIFOProfile(
-                exemplar.batch, exemplar.cache.block_size, level_caps,
-                write_policy=exemplar.cache.write_policy)
         if self._profile == "sampled":
             from .shards import SampledMultiConfigLRUProfile
 
@@ -1322,16 +935,12 @@ class MultiConfigPlan:
 
         results: Dict[Hashable, ProfileCounts] = {}
         profiled: set = set()
-        for group_key, group in groups.items():
-            kind = group_key[0]
+        for group in groups.values():
             if self._profile == "auto":
                 # A too-deep configuration (e.g. the 256-way fully
                 # associative organisation) pays a per-access walk linear
                 # in its depth, so it alone stays on its kernel — without
-                # vetoing the shallow members of its group.  (The FIFO
-                # profile's event replays are miss-bounded rather than
-                # depth-bounded, but the same conservative gate keeps
-                # "auto" predictable for both kinds.)
+                # vetoing the shallow members of its group.
                 group = [t for t in group
                          if t.level[1] <= PROFILE_AUTO_CAP_LIMIT]
                 if len(group) < _AUTO_MIN_GROUP:
@@ -1340,7 +949,7 @@ class MultiConfigPlan:
             for task in group:
                 num_sets, ways = task.level
                 level_caps[num_sets] = max(level_caps.get(num_sets, 0), ways)
-            profile = self._build_profile(kind, group[0], level_caps)
+            profile = self._build_profile(group[0], level_caps)
             for task in group:
                 results[task.key] = profile.miss_counts(*task.level)
                 profiled.add(id(task))
@@ -1359,29 +968,24 @@ class MultiConfigPlan:
 def run_lru_grid(batch: AddressBatch, block_size: int,
                  grid: Sequence[Tuple[int, int]],
                  write_policy: str = WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
-                 profile: str = "always",
-                 replacement: str = "lru",
+                 profile: str = "auto",
                  sample_rate: float = 0.01,
                  sample_size: Optional[int] = None,
                  profile_seed: int = 0,
                  ) -> Dict[Tuple[int, int], ProfileCounts]:
-    """Price a whole conventional ``(num_sets, ways)`` grid at once.
+    """Price a whole conventional-LRU ``(num_sets, ways)`` grid at once.
 
     The new scenario the profiler opens: dense capacity/associativity
     curves over one trace.  ``grid`` lists ``(num_sets, ways)`` pairs (the
     capacity is ``num_sets * ways * block_size``); the result maps each
-    pair to its exact :class:`ProfileCounts`.  ``profile="always"`` (the
-    default) runs one profile pass per distinct set count;
-    ``profile="never"`` runs every configuration through its own batch
-    kernel — the comparison ``benchmarks/bench_engine.py`` times and the
-    differential suite holds bit-exact; ``profile="sampled"`` prices LRU
-    grids approximately at ``sample_rate`` (see
-    :mod:`repro.engine.shards` — ``sample_size`` caps the expected number
-    of sampled blocks, ``profile_seed`` picks the hash universe).
-    ``replacement`` widens the grid beyond LRU: ``"fifo"`` grids are
-    priced exactly by the single-pass :class:`MultiConfigFIFOProfile`
-    under every profiled mode; any other policy the batch engine knows
-    simply runs per-configuration kernels.
+    pair to its :class:`ProfileCounts`.  Under ``profile="auto"`` (the
+    default) a grid of two or more cells no deeper than
+    :data:`PROFILE_AUTO_CAP_LIMIT` ways costs one exact profile pass per
+    distinct set count, and any other cell runs its own batch kernel —
+    bit-exact either way.  ``profile="sampled"`` prices the grid
+    approximately at ``sample_rate`` (see :mod:`repro.engine.shards` —
+    ``sample_size`` caps the expected number of sampled blocks,
+    ``profile_seed`` picks the hash universe).
     """
     plan = MultiConfigPlan(profile=profile, sample_rate=sample_rate,
                            sample_size=sample_size, profile_seed=profile_seed)
@@ -1390,7 +994,6 @@ def run_lru_grid(batch: AddressBatch, block_size: int,
             return BatchSetAssociativeCache(
                 size_bytes=num_sets * ways * block_size,
                 block_size=block_size, ways=ways,
-                replacement=replacement,
                 write_policy=write_policy)
         plan.add((num_sets, ways), batch, factory)
     return plan.run()

@@ -25,11 +25,12 @@ selects the scalar reference models or the bit-exact NumPy batch engine.
 ``--timeout``/``--retries``/``--on-error``/``--resume`` (per-dispatch
 deadlines, seeded-backoff retries, collect-instead-of-abort, and
 checkpoint/resume through a sweep journal); the first three additionally
-take ``--profile {auto,always,never}`` (route profilable conventional-LRU
-rows through the one-pass multi-configuration profiler — bit-exact in every
-mode) or ``--profile sampled`` (approximate SHARDS-sampled LRU profiles,
-vectorized engine only; ``--sample-rate``, ``--sample-size`` and
-``--profile-seed`` tune it and are refused without it).
+take ``--profile auto`` (the default: price two or more conventional-LRU
+rows of one trace out of a one-pass multi-configuration profile, every
+other row on its own kernel — bit-exact) or ``--profile sampled``
+(approximate SHARDS-sampled LRU profiles, vectorized engine only;
+``--sample-rate``, ``--sample-size`` and ``--profile-seed`` tune it and are
+refused without it).
 ``--replacement {lru,fifo,random,plru}`` selects the replacement policy on
 the trace-level cache experiments;
 ``replacement-study`` sweeps all four policies across conventional, skewed
@@ -40,6 +41,10 @@ FILE``: replay a recorded on-disk trace (packed v2 — optionally
 gzip/bz2/xz/zstd-compressed — v1 binary/text, or Dinero ``.din``) instead
 of the synthetic workloads, streamed in ``--trace-chunk``-access batches on
 the vectorized engine so memory stays bounded for arbitrarily long traces.
+A trace replays serially on every cache's exact kernel, so ``--trace``
+refuses the flags it would not read: the workload shape (``--programs``,
+``--accesses``, figure1's ``--max-stride``/``--stride-step``/``--sweeps``),
+the sweep-execution flags and ``--profile sampled`` with its knobs.
 
 The vectorized engine runs its 2-way and victim-cache loops as compiled C
 when a C compiler is available (``REPRO_CEXT=0`` forces the Python kernels,
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..cache.replacement import REPLACEMENT_POLICIES
 from ..engine import ENGINE_REFERENCE, ENGINES, ON_ERROR_POLICIES, PROFILE_MODES
@@ -133,10 +138,8 @@ def _unit_rate(text: str) -> float:
     return value
 
 
-#: Knobs that only mean something under ``--profile sampled``, with the
-#: values they take there when not given.
-_SAMPLING_DEFAULTS = {"sample_rate": 0.01, "sample_size": None,
-                      "profile_seed": 0}
+#: Knobs that only mean something under ``--profile sampled``.
+_SAMPLING_KNOBS = ("sample_rate", "sample_size", "profile_seed")
 
 
 class _DriverParser(argparse.ArgumentParser):
@@ -144,11 +147,38 @@ class _DriverParser(argparse.ArgumentParser):
     would silently ignore, with the same one-line usage error (exit code 2)
     as a bad value."""
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: ``(action, default)`` of every :meth:`add_deferred` option.
+        self._deferred: List[Tuple[argparse.Action, object]] = []
+
+    def add_deferred(self, *flags: str, default: object = None,
+                     **kwargs) -> None:
+        """Add an option a ``--trace`` replay never reads.  It parses to
+        None when absent, so the checks can tell an explicit value from
+        ``default``, which is filled in after them."""
+        action = self.add_argument(*flags, default=None, **kwargs)
+        self._deferred.append((action, default))
+
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
+        if getattr(namespace, "trace", None) is not None:
+            self._check_trace(namespace)
         if hasattr(namespace, "profile"):
             self._check_sampling(namespace)
+        for action, default in self._deferred:
+            if getattr(namespace, action.dest) is None:
+                setattr(namespace, action.dest, default)
         return namespace, extras
+
+    def _check_trace(self, namespace: argparse.Namespace) -> None:
+        given = ["--profile sampled"] if namespace.profile == "sampled" else []
+        given += [action.option_strings[0] for action, _ in self._deferred
+                  if getattr(namespace, action.dest) is not None]
+        if given:
+            self.error(f"{given[0]} does not apply to --trace (a recorded "
+                       "trace replays serially on every cache's exact "
+                       "kernel)")
 
     def _check_sampling(self, namespace: argparse.Namespace) -> None:
         if namespace.profile == "sampled":
@@ -156,13 +186,10 @@ class _DriverParser(argparse.ArgumentParser):
                 self.error("--profile sampled needs --engine vectorized (the "
                            "reference engine only runs the exact models)")
         else:
-            for dest in _SAMPLING_DEFAULTS:
+            for dest in _SAMPLING_KNOBS:
                 if getattr(namespace, dest) is not None:
                     flag = "--" + dest.replace("_", "-")
                     self.error(f"{flag} needs --profile sampled")
-        for dest, default in _SAMPLING_DEFAULTS.items():
-            if getattr(namespace, dest) is None:
-                setattr(namespace, dest, default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,52 +216,54 @@ def build_parser() -> argparse.ArgumentParser:
                                   "experiment (identical across engines, "
                                   "including the deterministic random policy)")
 
-    def add_sweep_options(parser_: argparse.ArgumentParser,
+    def add_sweep_options(parser_: _DriverParser,
                           unit: str = "tasks") -> None:
-        parser_.add_argument("--workers", type=_nonnegative_int, default=None,
+        parser_.add_deferred("--workers", type=_nonnegative_int,
                              help="fan the sweep across this many processes")
-        parser_.add_argument("--chunksize", type=_positive_int, default=None,
+        parser_.add_deferred("--chunksize", type=_positive_int,
                              help=f"{unit} per worker dispatch (amortises "
                                   "process-pool overhead on tiny tasks)")
-        parser_.add_argument("--timeout", type=_positive_float, default=None,
+        parser_.add_deferred("--timeout", type=_positive_float,
                              help="per-dispatch timeout in seconds (pool "
                                   "modes; a hung worker is killed and the "
                                   "task retried)")
-        parser_.add_argument("--retries", type=_nonnegative_int, default=0,
+        parser_.add_deferred("--retries", type=_nonnegative_int, default=0,
                              help="failed attempts a task may retry "
                                   "(exponential backoff with seeded jitter)")
-        parser_.add_argument("--on-error", dest="on_error",
+        parser_.add_deferred("--on-error", dest="on_error",
                              choices=list(ON_ERROR_POLICIES), default="raise",
                              help="once a task exhausts its retries: abort "
                                   "the sweep, or collect a structured "
                                   "TaskFailure and finish the rest")
-        parser_.add_argument("--resume", default=None, metavar="JOURNAL",
+        parser_.add_deferred("--resume", metavar="JOURNAL",
                              help="sweep-journal path: completed tasks are "
                                   "appended as they finish and pre-loaded "
                                   "on the next run, so a killed sweep "
                                   "restarts from its last completed task")
 
-    def add_profile(parser_: argparse.ArgumentParser) -> None:
+    def add_profile(parser_: _DriverParser) -> None:
         parser_.add_argument("--profile", choices=list(PROFILE_MODES),
                              default="auto",
-                             help="one-pass multi-configuration LRU/FIFO "
-                                  "profiling on the vectorized engine: auto "
-                                  "(profile when it wins), always, never — "
-                                  "bit-exact — or sampled (approximate "
-                                  "SHARDS-sampled LRU profiles)")
-        parser_.add_argument("--sample-rate", dest="sample_rate",
-                             type=_unit_rate, default=None,
+                             help="multi-configuration LRU profiling on the "
+                                  "vectorized engine: auto (bit-exact; two "
+                                  "or more conventional-LRU rows of one "
+                                  "trace share a one-pass profile, every "
+                                  "other row runs its own kernel) or "
+                                  "sampled (approximate SHARDS-sampled LRU "
+                                  "profiles)")
+        parser_.add_deferred("--sample-rate", dest="sample_rate",
+                             type=_unit_rate, default=0.01,
                              help="profile=sampled: spatial sampling rate in "
                                   "(0, 1] (default 0.01); 1.0 degenerates to "
                                   "the exact profile")
-        parser_.add_argument("--sample-size", dest="sample_size",
-                             type=_positive_int, default=None,
+        parser_.add_deferred("--sample-size", dest="sample_size",
+                             type=_positive_int,
                              help="profile=sampled: cap the expected sample "
                                   "to about this many accesses (fixed-size "
                                   "SHARDS; lowers the effective rate on "
                                   "long traces)")
-        parser_.add_argument("--profile-seed", dest="profile_seed",
-                             type=_nonnegative_int, default=None,
+        parser_.add_deferred("--profile-seed", dest="profile_seed",
+                             type=_nonnegative_int, default=0,
                              help="profile=sampled: seed of the spatial hash "
                                   "(default 0; same seed + rate => "
                                   "bit-identical sampled results)")
@@ -252,16 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
                                   "vectorized engine (bounds memory; results "
                                   "are identical for any chunk size)")
 
-    def add_programs(parser_: argparse.ArgumentParser) -> None:
-        parser_.add_argument("--programs", nargs="*", default=None,
+    def add_programs(parser_: _DriverParser) -> None:
+        parser_.add_deferred("--programs", nargs="*",
                              choices=workload_names(), metavar="PROGRAM",
                              help="synthetic Spec95 programs to run "
                                   "(default: all 18)")
 
     figure1 = sub.add_parser("figure1", help="Figure 1 stride sweep")
-    figure1.add_argument("--max-stride", type=_int_at_least(2), default=1024)
-    figure1.add_argument("--stride-step", type=_positive_int, default=4)
-    figure1.add_argument("--sweeps", type=_positive_int, default=8)
+    figure1.add_deferred("--max-stride", type=_int_at_least(2), default=1024)
+    figure1.add_deferred("--stride-step", type=_positive_int, default=4)
+    figure1.add_deferred("--sweeps", type=_positive_int, default=8)
     add_sweep_options(figure1, unit="strides")
     add_engine(figure1)
     add_replacement(figure1)
@@ -281,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine(table3)
 
     miss_ratio = sub.add_parser("miss-ratio", help="Section 2.1 organisation comparison")
-    miss_ratio.add_argument("--accesses", type=_study_accesses, default=30_000)
+    miss_ratio.add_deferred("--accesses", type=_study_accesses,
+                            default=30_000)
     add_programs(miss_ratio)
     miss_ratio.add_argument("--csv", action="store_true")
     add_sweep_options(miss_ratio, unit="programs")
@@ -293,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     replacement = sub.add_parser(
         "replacement-study",
         help="replacement policy x organisation sweep (LRU practicality)")
-    replacement.add_argument("--accesses", type=_study_accesses,
+    replacement.add_deferred("--accesses", type=_study_accesses,
                              default=20_000)
     add_programs(replacement)
     replacement.add_argument("--csv", action="store_true")

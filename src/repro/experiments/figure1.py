@@ -101,8 +101,9 @@ def stride_miss_ratio(scheme: str, stride: int,
     bit-exact batch engine; ``replacement`` the replacement policy (``None``
     means the paper's LRU).  On the vectorized engine the task is routed
     through a :class:`~repro.engine.multiconfig.MultiConfigPlan`; ``profile``
-    selects its policy (a single-configuration task only leaves its kernel
-    under ``profile="always"`` — bit-exact either way).
+    selects its policy (a single-configuration task stays on its exact
+    kernel under ``"auto"``; ``"sampled"`` prices a conventional LRU task
+    out of a SHARDS-sampled profile).
     """
     if stride < 1:
         raise ValueError("stride must be at least 1")
@@ -215,10 +216,11 @@ def run_figure1(max_stride: int = 4096,
         the paper's LRU).
     profile:
         Multi-configuration profiling policy on the vectorized engine
-        (``auto``/``always``/``never``/``sampled`` — see
+        (``auto`` or ``sampled`` — see
         :class:`~repro.engine.multiconfig.MultiConfigPlan`); every stride is
-        its own trace, so only ``"always"`` (or ``"sampled"``) moves the
-        conventional LRU rows onto the one-pass profiler.
+        its own trace, so under ``"auto"`` every row runs its exact kernel
+        and only ``"sampled"`` moves the conventional LRU rows onto a
+        (SHARDS-sampled) profile.
     sample_rate, sample_size, profile_seed:
         SHARDS sampled-profiling knobs, used only under
         ``profile="sampled"`` (see :mod:`repro.engine.shards`): the spatial
@@ -237,7 +239,9 @@ def run_figure1(max_stride: int = 4096,
         cache replays that single trace instead of the stride grid, so the
         result carries one miss ratio (and a one-sample histogram) per
         scheme.  On the vectorized engine the trace streams through all
-        schemes in ``trace_chunk``-access batches.
+        schemes in ``trace_chunk``-access batches.  A trace replay runs
+        every cache on its exact kernel and reads none of the stride,
+        sweep-execution or sampling parameters.
     """
     engine = check_engine(engine)
     profile = check_profile_mode(profile)

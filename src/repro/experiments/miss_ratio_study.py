@@ -302,11 +302,10 @@ def run_miss_ratio_study(programs: Optional[Sequence[str]] = None,
     dispatch so a worker reuses its materialised traces).  A caller-supplied
     ``organisations`` mapping is not generally picklable, so it always runs
     serially.  ``profile`` selects the multi-configuration profiling policy
-    of the vectorized path (``auto``/``always``/``never`` — bit-exact in
-    each of those — or ``"sampled"``, which prices the conventional LRU
-    rows approximately through the SHARDS profiles of
-    :mod:`repro.engine.shards` at ``sample_rate``/``sample_size``/
-    ``profile_seed``).
+    of the vectorized path (``"auto"``, bit-exact, or ``"sampled"``, which
+    prices the conventional LRU rows approximately through the SHARDS
+    profiles of :mod:`repro.engine.shards` at ``sample_rate``/
+    ``sample_size``/``profile_seed``).
 
     ``timeout`` (seconds per program), ``retries``, ``on_error`` and
     ``resume`` (sweep-journal path, appended to and resumed from) are
@@ -320,7 +319,10 @@ def run_miss_ratio_study(programs: Optional[Sequence[str]] = None,
     single row, labelled with the trace's file name.  On the vectorized
     engine the trace streams through every organisation in
     ``trace_chunk``-access batches, so memory stays bounded regardless of
-    trace length, with counters bit-identical to an in-memory replay.
+    trace length, with counters bit-identical to an in-memory replay.  A
+    trace replay runs every organisation on its exact kernel and reads none
+    of the workload (``programs``, ``accesses``, ``seed``), sweep-execution
+    or sampling parameters.
     """
     engine = check_engine(engine)
     profile = check_profile_mode(profile)

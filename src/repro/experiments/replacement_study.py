@@ -200,10 +200,11 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
     produce identical numbers.  ``workers`` fans the per-program tasks
     across a process pool (``chunksize`` groups programs per dispatch so a
     worker reuses its materialised traces); ``profile`` selects the
-    multi-configuration profiling policy of the vectorized LRU and FIFO rows
-    (``auto``/``always``/``never`` — bit-exact — or ``sampled``, which prices
-    the LRU rows approximately via SHARDS spatial sampling at ``sample_rate``
-    / ``sample_size`` / ``profile_seed``; FIFO rows stay exact).
+    multi-configuration profiling policy of the vectorized LRU rows
+    (``auto``, bit-exact, or ``sampled``, which prices the conventional LRU
+    rows approximately via SHARDS spatial sampling at ``sample_rate`` /
+    ``sample_size`` / ``profile_seed``); every other row runs its exact
+    kernel.
     ``timeout``/``retries``/``on_error``/``resume`` are forwarded to
     :func:`repro.engine.sweep.run_sweep`; under ``on_error="collect"`` a
     failed program lands in ``result.failures`` and the averages cover the
@@ -214,6 +215,8 @@ def run_replacement_study(programs: Optional[Sequence[str]] = None,
     that single trace's, not suite averages.  On the vectorized engine the
     trace streams through the whole (organisation, policy) grid in
     ``trace_chunk``-access batches — bounded memory, bit-identical counters.
+    A trace replay runs every cache on its exact kernel and reads none of
+    the workload, sweep-execution or sampling parameters.
     """
     engine = check_engine(engine)
     profile = check_profile_mode(profile)

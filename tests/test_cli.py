@@ -33,10 +33,10 @@ class TestParser:
         """--workers/--chunksize/--profile exist on every sweeping command."""
         args = build_parser().parse_args(
             [command, "--workers", "3", "--chunksize", "2",
-             "--profile", "always"])
+             "--profile", "auto"])
         assert args.workers == 3
         assert args.chunksize == 2
-        assert args.profile == "always"
+        assert args.profile == "auto"
 
     def test_profile_choices_are_validated(self):
         with pytest.raises(SystemExit):
@@ -88,15 +88,22 @@ class TestParser:
                                          "replacement-study"])
     def test_trace_options_parity(self, command, tmp_path):
         """--trace/--trace-chunk exist on every trace-replaying command
-        and default to the synthetic suite."""
+        and default to the synthetic suite.  Beside --trace the parser
+        keeps every flag the replay reads, and an explicit ``--profile
+        auto`` (a replay is exact, which is what ``auto`` promises)."""
         recorded = tmp_path / "recorded.ctr"
         recorded.write_bytes(b"")
         parser = build_parser()
         defaults = parser.parse_args([command])
         assert defaults.trace is None
         assert defaults.trace_chunk == 1 << 20
-        args = parser.parse_args(
-            [command, "--trace", str(recorded), "--trace-chunk", "4096"])
+        argv = [command, "--trace", str(recorded), "--trace-chunk", "4096",
+                "--engine", "vectorized", "--profile", "auto"]
+        if command != "replacement-study":
+            argv += ["--replacement", "fifo"]
+        if command != "figure1":
+            argv += ["--csv"]
+        args = parser.parse_args(argv)
         assert args.trace == str(recorded)
         assert args.trace_chunk == 4096
 
@@ -151,9 +158,9 @@ class TestParser:
         # Sampling knobs without --profile sampled would be ignored.
         ["figure1", "--sample-rate", "0.5"],
         ["miss-ratio", "--sample-size", "64", "--engine", "vectorized"],
-        ["replacement-study", "--profile-seed", "3", "--profile", "always"],
+        ["replacement-study", "--profile-seed", "3", "--profile", "auto"],
         ["figure1", "--sample-rate", "0.5", "--engine", "vectorized",
-         "--profile", "never"],
+         "--profile", "auto"],
     ])
     def test_bad_sampling_values_rejected_at_parse_time(self, argv, capsys):
         """Invalid or ignored sampling knobs die in argparse (clear usage
@@ -302,14 +309,16 @@ class TestExecution:
     def test_miss_ratio_with_workers_and_profile(self, capsys):
         assert main(["miss-ratio", "--accesses", "4000", "--programs", "gcc",
                      "--engine", "vectorized", "--workers", "2",
-                     "--chunksize", "1", "--profile", "always"]) == 0
+                     "--chunksize", "1", "--profile", "sampled",
+                     "--sample-rate", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "conventional-2way" in out
 
     def test_replacement_study_with_workers(self, capsys):
         assert main(["replacement-study", "--accesses", "3000",
                      "--programs", "gcc", "--engine", "vectorized",
-                     "--workers", "2", "--profile", "always"]) == 0
+                     "--workers", "2", "--profile", "sampled",
+                     "--sample-rate", "1.0"]) == 0
         assert "replacement sensitivity" in capsys.readouterr().out
 
 
@@ -347,6 +356,64 @@ class TestExecution:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and argv[1] in errors[0]
+
+    @pytest.mark.parametrize("command", ["figure1", "miss-ratio",
+                                         "replacement-study"])
+    @pytest.mark.parametrize("mode", ["always", "never"])
+    def test_removed_profile_modes_exit_2_with_one_line(self, command, mode,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--engine", "vectorized", "--profile", mode])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "--profile" in errors[0] and mode in errors[0]
+
+
+#: Flags a ``--trace`` replay never reads, per trace-replaying command: each
+#: must be refused (exit 2, one line naming it) instead of being ignored.
+TRACE_UNREAD_FLAGS = [
+    ("figure1", ["--max-stride", "64"]),
+    ("figure1", ["--stride-step", "2"]),
+    ("figure1", ["--sweeps", "4"]),
+    *[(command, flags)
+      for command in ("miss-ratio", "replacement-study")
+      for flags in (["--accesses", "5000"], ["--programs", "gcc"],
+                    ["--programs"])],
+    *[(command, flags)
+      for command in ("figure1", "miss-ratio", "replacement-study")
+      for flags in (["--workers", "2"], ["--chunksize", "4"],
+                    ["--timeout", "5"], ["--retries", "0"],
+                    ["--on-error", "raise"], ["--resume", "J"],
+                    ["--profile", "sampled"],
+                    ["--profile", "sampled", "--sample-rate", "0.001"],
+                    ["--sample-size", "64"], ["--profile-seed", "3"])],
+]
+
+
+@pytest.mark.parametrize("command,flags", TRACE_UNREAD_FLAGS,
+                         ids=lambda value: " ".join(value)
+                         if isinstance(value, list) else value)
+def test_trace_refuses_flags_it_would_ignore(command, flags, tmp_path,
+                                             monkeypatch, capsys):
+    """``--trace`` replays one recorded trace serially on every cache's
+    exact kernel; a workload, sweep or sampling flag beside it used to
+    print the same bytes as a plain replay (and ``--resume`` wrote no
+    journal)."""
+    recorded = tmp_path / "recorded.ctr"
+    recorded.write_bytes(b"")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--trace", str(recorded), "--engine", "vectorized",
+              *flags])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert flags[0] in errors[0] and "--trace" in errors[0]
+    assert not (tmp_path / "J").exists()
 
 
 #: Small driver runs whose output must be byte-identical under both

@@ -467,51 +467,6 @@ def test_multiconfig_profile_matches_both_engines_on_random_geometries(
     assert ProfileCounts.from_stats(scalar.stats) == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    addresses=st.lists(st.integers(0, 4095), min_size=1, max_size=300),
-    writes=st.data(),
-    set_bits=st.integers(0, 5),
-    ways=st.integers(1, 6),
-    write_back=st.booleans(),
-)
-def test_fifo_profile_matches_both_engines_on_random_geometries(
-        addresses, writes, set_bits, ways, write_back):
-    """Single-pass FIFO profile == batch kernel == scalar, on random FIFO
-    geometries.
-
-    FIFO's miss-driven event replay (hit transparency) must reproduce the
-    per-access kernels exactly — including Belady-anomaly traces, both
-    write policies, and the fully-associative degenerate case."""
-    from repro.engine import MultiConfigFIFOProfile, ProfileCounts
-
-    is_write = writes.draw(st.lists(st.booleans(), min_size=len(addresses),
-                                    max_size=len(addresses)))
-    block_size = 16
-    num_sets = 1 << set_bits
-    write_policy = (WritePolicy.WRITE_BACK_ALLOCATE if write_back
-                    else WritePolicy.WRITE_THROUGH_NO_ALLOCATE)
-    batch = AddressBatch.from_arrays(np.array(addresses, dtype=np.uint64),
-                                     np.array(is_write, dtype=bool))
-    profile = MultiConfigFIFOProfile(batch, block_size, {num_sets: ways},
-                                     write_policy=write_policy)
-    expected = profile.miss_counts(num_sets, ways)
-
-    kernel = BatchSetAssociativeCache(num_sets * ways * block_size,
-                                      block_size, ways,
-                                      write_policy=write_policy,
-                                      replacement="fifo")
-    kernel.run(batch)
-    assert ProfileCounts.from_stats(kernel.stats) == expected
-
-    scalar = SetAssociativeCache(num_sets * ways * block_size, block_size,
-                                 ways, write_policy=write_policy,
-                                 replacement="fifo")
-    for address, w in zip(addresses, is_write):
-        scalar.access(address, is_write=w)
-    assert ProfileCounts.from_stats(scalar.stats) == expected
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     addresses=st.lists(st.integers(0, (1 << 16) - 1), min_size=1,

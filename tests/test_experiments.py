@@ -84,14 +84,14 @@ class TestFigure1:
 
 class TestFigure1Profile:
     def test_profile_modes_are_bit_exact(self):
-        """Routing the a2 rows through the one-pass profiler (or refusing
-        to) must not change a single ratio."""
+        """Routing the a2 rows through a sampled profile at rate 1.0 must
+        not change a single ratio of the exact ``auto`` run."""
         base = run_figure1(max_stride=33, stride_step=4, sweeps=4,
                            engine="vectorized")
-        for profile in ("always", "never"):
-            other = run_figure1(max_stride=33, stride_step=4, sweeps=4,
-                                engine="vectorized", profile=profile)
-            assert other.miss_ratios == base.miss_ratios
+        other = run_figure1(max_stride=33, stride_step=4, sweeps=4,
+                            engine="vectorized", profile="sampled",
+                            sample_rate=1.0)
+        assert other.miss_ratios == base.miss_ratios
 
     def test_profile_mode_is_validated(self):
         with pytest.raises(ValueError):
@@ -351,10 +351,10 @@ class TestMissRatioStudy:
     def test_profile_modes_are_bit_exact(self):
         base = run_miss_ratio_study(programs=["gcc"], accesses=4_000,
                                     engine="vectorized")
-        for profile in ("always", "never"):
-            other = run_miss_ratio_study(programs=["gcc"], accesses=4_000,
-                                         engine="vectorized", profile=profile)
-            assert other.miss_ratios == base.miss_ratios
+        other = run_miss_ratio_study(programs=["gcc"], accesses=4_000,
+                                     engine="vectorized", profile="sampled",
+                                     sample_rate=1.0)
+        assert other.miss_ratios == base.miss_ratios
         with pytest.raises(ValueError):
             run_miss_ratio_study(programs=["gcc"], accesses=4_000,
                                  profile="sometimes")
@@ -407,7 +407,7 @@ class TestReplacementStudy:
         assert fanned.miss_ratios == serial.miss_ratios
         profiled = run_replacement_study(programs=["gcc", "swim"],
                                          accesses=3_000, engine="vectorized",
-                                         profile="always")
+                                         profile="sampled", sample_rate=1.0)
         assert profiled.miss_ratios == serial.miss_ratios
 
 

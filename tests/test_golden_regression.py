@@ -193,11 +193,25 @@ def test_goldens_are_committed():
     assert set(grid["load_miss_ratios"]) == expected_levels
 
 
-@pytest.mark.parametrize("profile", ["always", "never"])
-def test_lru_grid_profile_matches_golden(profile):
+def _kernel_grid(batch, block_size, grid):
+    """Each ``(num_sets, ways)`` cell of ``grid`` run on its own batch
+    kernel — the per-config path the one-pass profile must agree with."""
+    from repro.engine import BatchSetAssociativeCache, ProfileCounts
+
+    results = {}
+    for num_sets, ways in grid:
+        cache = BatchSetAssociativeCache(num_sets * ways * block_size,
+                                         block_size, ways)
+        cache.run(batch)
+        results[(num_sets, ways)] = ProfileCounts.from_stats(cache.stats)
+    return results
+
+
+@pytest.mark.parametrize("path", ["profile", "kernels"])
+def test_lru_grid_profile_matches_golden(path):
     """Profiler-driven miss-ratio grid (capacities x ways): both the
-    one-pass profile readout and the per-config batch kernels must
-    reproduce the committed snapshot exactly."""
+    one-pass profile readout (``run_lru_grid``) and the per-config batch
+    kernels must reproduce the committed snapshot exactly."""
     from repro.engine import AddressBatch, run_lru_grid
     from repro.trace.batching import cached_workload_arrays
 
@@ -207,7 +221,8 @@ def test_lru_grid_profile_matches_golden(profile):
         params["program"], length=params["accesses"], seed=params["seed"]))
     grid = [(num_sets, ways) for num_sets in params["num_sets"]
             for ways in params["ways"]]
-    results = run_lru_grid(batch, params["block_size"], grid, profile=profile)
+    run = run_lru_grid if path == "profile" else _kernel_grid
+    results = run(batch, params["block_size"], grid)
     miss_ratios = {
         str(num_sets): {str(ways): results[(num_sets, ways)].miss_ratio
                         for ways in params["ways"]}

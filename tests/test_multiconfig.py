@@ -16,9 +16,6 @@ from repro.core.index import SingleSetIndexing, make_index_function
 from repro.engine import (
     AddressBatch,
     BatchSetAssociativeCache,
-    MultiCapacityFIFOProfile,
-    MultiConfigFIFOBuilder,
-    MultiConfigFIFOProfile,
     MultiConfigLRUProfile,
     MultiConfigPlan,
     MultiConfigProfileBuilder,
@@ -29,7 +26,7 @@ from repro.engine import (
     profile_cache_info,
     run_lru_grid,
 )
-from repro.engine.multiconfig import PROFILE_AUTO_CAP_LIMIT
+from repro.engine.multiconfig import PROFILE_AUTO_CAP_LIMIT, PROFILE_MODES
 from repro.trace.batching import cached_workload_arrays
 
 BLOCK = 32
@@ -237,11 +234,23 @@ class TestMultiConfigLRUProfile:
 
 class TestMultiConfigPlan:
     def test_mode_validation(self):
-        assert check_profile_mode("Always ") == "always"
+        assert PROFILE_MODES == ("auto", "sampled")
+        assert check_profile_mode("Auto ") == "auto"
+        assert check_profile_mode("SAMPLED") == "sampled"
         with pytest.raises(ValueError):
             check_profile_mode("sometimes")
         with pytest.raises(ValueError):
             MultiConfigPlan(profile="sometimes")
+
+    @pytest.mark.parametrize("mode", ["always", "never"])
+    def test_removed_modes_are_rejected(self, mode):
+        """Only ``auto`` and ``sampled`` remain: forcing the exact profiler
+        on or off is no longer a mode."""
+        with pytest.raises(ValueError, match="unknown profile mode"):
+            check_profile_mode(mode)
+        with pytest.raises(ValueError):
+            run_lru_grid(batch_of_blocks([0, 1]), BLOCK, [(1, 1), (1, 2)],
+                         profile=mode)
 
     def test_profilable_predicate(self):
         batch = batch_of_blocks([0, 1, 2])
@@ -254,15 +263,10 @@ class TestMultiConfigPlan:
             8192, BLOCK, 2, index_function=make_index_function(
                 "a2-Hp-Sk", num_sets=128, ways=2, address_bits=19))
         assert MultiConfigPlan.profilable(skewed, batch) is None
-        fifo = BatchSetAssociativeCache(8192, BLOCK, 2, replacement="fifo")
-        assert MultiConfigPlan.profilable(fifo, batch) is None
-        assert MultiConfigPlan.profilable_fifo(fifo, batch) == (128, 2)
-        conventional_not_fifo = BatchSetAssociativeCache(8192, BLOCK, 2)
-        assert MultiConfigPlan.profilable_fifo(
-            conventional_not_fifo, batch) is None
-        random_policy = BatchSetAssociativeCache(8192, BLOCK, 2,
-                                                 replacement="random")
-        assert MultiConfigPlan.profilable_fifo(random_policy, batch) is None
+        for policy in ("fifo", "random", "plru"):
+            other = BatchSetAssociativeCache(8192, BLOCK, 2,
+                                             replacement=policy)
+            assert MultiConfigPlan.profilable(other, batch) is None, policy
         classified = BatchSetAssociativeCache(8192, BLOCK, 2,
                                               classify_misses=True)
         assert MultiConfigPlan.profilable(classified, batch) is None
@@ -272,14 +276,38 @@ class TestMultiConfigPlan:
         assert MultiConfigPlan.profilable(warmed, batch) is None
 
     def test_every_mode_is_bit_exact(self):
+        """``auto`` and ``sampled`` at rate 1.0 both reproduce the
+        per-config kernels on every cell."""
         addresses, writes = cached_workload_arrays("tomcatv", length=5000)
         batch = AddressBatch.from_arrays(addresses, writes)
         grid = [(num_sets, ways) for num_sets in (32, 64, 128)
                 for ways in (1, 2, 4)]
-        results = {mode: run_lru_grid(batch, BLOCK, grid, profile=mode)
-                   for mode in ("auto", "always", "never")}
-        assert results["auto"] == results["never"]
-        assert results["always"] == results["never"]
+        auto = run_lru_grid(batch, BLOCK, grid, profile="auto")
+        assert auto == run_lru_grid(batch, BLOCK, grid, profile="sampled",
+                                    sample_rate=1.0)
+        for (num_sets, ways), counts in auto.items():
+            assert counts == kernel_counts(batch, num_sets, ways)
+
+    def test_auto_profiles_every_cell_of_the_bench_sweep_grid(self):
+        """The lru-grid bench row times ``run_lru_grid`` under its default
+        ``auto`` against per-config kernels, so ``auto`` must price every
+        cell of that 2 x 8 grid out of one profile pass per set count."""
+        addresses, writes = cached_workload_arrays("gcc", length=4000)
+        batch = AddressBatch.from_arrays(addresses, writes)
+        grid = [(num_sets, ways) for num_sets in (64, 128)
+                for ways in range(1, 9)]
+        plan = MultiConfigPlan()
+        for num_sets, ways in grid:
+            plan.add((num_sets, ways), batch,
+                     lambda num_sets=num_sets, ways=ways:
+                     BatchSetAssociativeCache(num_sets * ways * BLOCK,
+                                              BLOCK, ways))
+        profile_cache_clear()
+        results = plan.run()
+        assert profile_cache_info()["misses"] == 2  # one pass per set count
+        # No kernel ran: every task's cache is still cold.
+        assert all(task.cache.stats.accesses == 0 for task in plan._tasks)
+        assert results == run_lru_grid(batch, BLOCK, grid)
 
     def test_auto_skips_singletons_and_deep_levels(self):
         batch = batch_of_blocks(list(range(64)) * 4)
@@ -293,8 +321,9 @@ class TestMultiConfigPlan:
         profile_cache_clear()
         run_lru_grid(batch, BLOCK, deep, profile="auto")
         assert profile_cache_info()["misses"] == 0
-        assert (run_lru_grid(batch, BLOCK, deep, profile="always")
-                == run_lru_grid(batch, BLOCK, deep, profile="never"))
+        for (num_sets, ways), counts in run_lru_grid(
+                batch, BLOCK, deep, profile="auto").items():
+            assert counts == kernel_counts(batch, num_sets, ways)
 
     def test_auto_excludes_deep_members_without_vetoing_the_group(self):
         """A deep organisation must not stop its shallow group members
@@ -309,29 +338,33 @@ class TestMultiConfigPlan:
         # The two shallow 64-set rows share one profiled level; the deep
         # fully-associative row ran its kernel.
         assert profile_cache_info()["misses"] == 1
-        assert auto == run_lru_grid(batch, BLOCK, grid, profile="never")
+        for (num_sets, ways), counts in auto.items():
+            assert counts == kernel_counts(batch, num_sets, ways)
 
     def test_groups_share_one_pass_per_level(self):
         profile_cache_clear()
         addresses, writes = cached_workload_arrays("gcc", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
         grid = [(64, w) for w in (1, 2, 3, 4, 5, 6, 7, 8)]
-        run_lru_grid(batch, BLOCK, grid, profile="always")
+        run_lru_grid(batch, BLOCK, grid)
         info = profile_cache_info()
         assert info["misses"] == 1  # eight configurations, one level pass
 
     def test_mixed_plan_keeps_kernel_tasks_on_their_kernels(self):
         addresses, writes = cached_workload_arrays("gcc", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
-        plan = MultiConfigPlan(profile="always")
+        plan = MultiConfigPlan()
         plan.add("conv", batch, lambda: BatchSetAssociativeCache(8192, BLOCK, 2))
+        plan.add("conv4", batch,
+                 lambda: BatchSetAssociativeCache(16384, BLOCK, 4))
         plan.add("skew", batch, lambda: BatchSetAssociativeCache(
             8192, BLOCK, 2, index_function=make_index_function(
                 "a2-Hp-Sk", num_sets=128, ways=2, address_bits=19)))
+        profile_cache_clear()
         results = plan.run()
-        reference = BatchSetAssociativeCache(8192, BLOCK, 2)
-        reference.run(batch)
-        assert results["conv"] == ProfileCounts.from_stats(reference.stats)
+        assert profile_cache_info()["misses"] == 1  # the two conv rows
+        assert results["conv"] == kernel_counts(batch, 128, 2)
+        assert results["conv4"] == kernel_counts(batch, 128, 4)
         skewed = BatchSetAssociativeCache(
             8192, BLOCK, 2, index_function=make_index_function(
                 "a2-Hp-Sk", num_sets=128, ways=2, address_bits=19))
@@ -346,7 +379,7 @@ class TestMultiConfigPlan:
             seen.append(cache)
             cache.run(batch_)
 
-        plan = MultiConfigPlan(profile="never")
+        plan = MultiConfigPlan()
         plan.add("row", batch, lambda: BatchSetAssociativeCache(1024, BLOCK, 2),
                  runner=runner)
         results = plan.run()
@@ -363,46 +396,62 @@ class TestMultiConfigPlan:
             addresses, [False, False, True, False, False])
         all_loads_mask = AddressBatch.from_arrays(
             addresses, [False] * 5)
-        plan = MultiConfigPlan(profile="always")
-        plan.add("stores", hot_store, lambda: BatchSetAssociativeCache(
-            2 * BLOCK, BLOCK, 2))
-        plan.add("loads", all_loads_mask, lambda: BatchSetAssociativeCache(
-            2 * BLOCK, BLOCK, 2))
+        plan = MultiConfigPlan()
+        for ways in (1, 2):  # two cells per group, so auto profiles both
+            plan.add(("stores", ways), hot_store,
+                     lambda ways=ways: BatchSetAssociativeCache(
+                         ways * BLOCK, BLOCK, ways))
+            plan.add(("loads", ways), all_loads_mask,
+                     lambda ways=ways: BatchSetAssociativeCache(
+                         ways * BLOCK, BLOCK, ways))
         results = plan.run()
-        assert results["stores"] == kernel_counts(hot_store, 1, 2)
-        assert results["loads"] == kernel_counts(all_loads_mask, 1, 2)
-        assert results["stores"] != results["loads"]
+        assert all(task.cache.stats.accesses == 0 for task in plan._tasks)
+        for ways in (1, 2):
+            assert results[("stores", ways)] == kernel_counts(
+                hot_store, 1, ways)
+            assert results[("loads", ways)] == kernel_counts(
+                all_loads_mask, 1, ways)
+        assert results[("stores", 2)] != results[("loads", 2)]
 
-    def test_profile_never_runs_every_kernel(self):
-        """``profile="never"`` must produce the same numbers with zero
-        profile passes — every configuration on its own kernel."""
+    @pytest.mark.parametrize("profile", ["auto", "sampled"])
+    def test_non_lru_grid_runs_every_kernel(self, profile):
+        """No profiler serves FIFO, random or PLRU: a conventional grid of
+        those policies takes zero profile passes in every mode and each
+        cell runs its own kernel."""
         addresses, writes = cached_workload_arrays("li", length=3000)
         batch = AddressBatch.from_arrays(addresses, writes)
-        grid = [(num_sets, ways) for num_sets in (16, 64) for ways in (1, 2, 4)]
+        grid = [(num_sets, ways, policy) for num_sets in (16, 64)
+                for ways in (1, 2, 4) for policy in ("fifo", "random",
+                                                     "plru")]
+        plan = MultiConfigPlan(profile=profile, sample_rate=0.5)
+        for num_sets, ways, policy in grid:
+            plan.add((num_sets, ways, policy), batch,
+                     lambda num_sets=num_sets, ways=ways, policy=policy:
+                     BatchSetAssociativeCache(num_sets * ways * BLOCK,
+                                              BLOCK, ways,
+                                              replacement=policy))
         profile_cache_clear()
-        never = run_lru_grid(batch, BLOCK, grid, profile="never")
+        results = plan.run()
         assert profile_cache_info()["misses"] == 0
         assert profile_cache_info()["hits"] == 0
-        for (num_sets, ways), counts in never.items():
-            assert counts == kernel_counts(batch, num_sets, ways)
+        for (num_sets, ways, policy), counts in results.items():
+            assert counts == kernel_counts(batch, num_sets, ways,
+                                           replacement=policy)
 
     def test_empty_trace_grid(self):
         """A 0-access batch prices to all-zero counters in every mode."""
         batch = batch_of_blocks([])
         grid = [(16, 2), (64, 4)]
         zero = ProfileCounts(loads=0, stores=0, load_misses=0, store_misses=0)
-        for mode in ("auto", "always", "never", "sampled"):
+        for mode in ("auto", "sampled"):
             results = run_lru_grid(batch, BLOCK, grid, profile=mode)
             assert results == {key: zero for key in grid}, mode
-        fifo = run_lru_grid(batch, BLOCK, grid, profile="always",
-                            replacement="fifo")
-        assert fifo == {key: zero for key in grid}
 
     def test_grid_against_scalar_models(self):
         addresses, writes = cached_workload_arrays("compress", length=4000)
         batch = AddressBatch.from_arrays(addresses, writes)
         grid = [(num_sets, ways) for num_sets in (16, 64) for ways in (1, 3, 8)]
-        results = run_lru_grid(batch, BLOCK, grid, profile="always")
+        results = run_lru_grid(batch, BLOCK, grid)
         for (num_sets, ways), counts in results.items():
             scalar = SetAssociativeCache(num_sets * ways * BLOCK, BLOCK, ways)
             for address, is_write in zip(batch.addresses.tolist(),
@@ -410,176 +459,6 @@ class TestMultiConfigPlan:
                 scalar.access(address, is_write=is_write)
             assert counts == ProfileCounts.from_stats(scalar.stats), (
                 num_sets, ways)
-
-class TestMultiConfigFIFOProfile:
-    """The single-pass FIFO grid: miss-driven event replays vs kernels."""
-
-    def test_validates_geometry_and_policy(self):
-        batch = batch_of_blocks([0, 1])
-        with pytest.raises(ValueError):
-            MultiConfigFIFOProfile(batch, BLOCK, {3: 2})  # not a power of two
-        with pytest.raises(ValueError):
-            MultiConfigFIFOProfile(batch, BLOCK, {})      # no levels
-        with pytest.raises(ValueError):
-            MultiConfigFIFOProfile(batch, BLOCK, {4: 2}, write_policy="bogus")
-
-    def test_readout_guards(self):
-        batch = batch_of_blocks([0, 1, 2])
-        profile = MultiConfigFIFOProfile(batch, BLOCK, {4: 2})
-        with pytest.raises(KeyError):
-            profile.miss_counts(8, 2)     # level never declared
-        with pytest.raises(ValueError):
-            profile.miss_counts(4, 3)     # beyond the declared depth cap
-        with pytest.raises(ValueError):
-            profile.miss_counts(4, 0)
-
-    def test_beladys_anomaly_is_reproduced(self):
-        """FIFO is not a stack algorithm: the classic anomaly trace misses
-        *more* at four frames than at three — the per-capacity event
-        replays must reproduce it (a stack-style readout cannot)."""
-        anomaly = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
-        batch = batch_of_blocks(anomaly)
-        profile = MultiConfigFIFOProfile(batch, BLOCK, {1: 4})
-        assert profile.miss_counts(1, 3).misses == 9
-        assert profile.miss_counts(1, 4).misses == 10
-
-    def test_matches_kernels_across_grid_and_policies(self):
-        addresses, writes = cached_workload_arrays("gcc", length=6000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        for policy in (WritePolicy.WRITE_THROUGH_NO_ALLOCATE,
-                       WritePolicy.WRITE_BACK_ALLOCATE):
-            profile = MultiConfigFIFOProfile(batch, BLOCK, {16: 8, 64: 8},
-                                             write_policy=policy)
-            for num_sets in (16, 64):
-                for ways in (1, 2, 3, 4, 8):
-                    assert (profile.miss_counts(num_sets, ways)
-                            == kernel_counts(batch, num_sets, ways,
-                                             write_policy=policy,
-                                             replacement="fifo")), (
-                        policy, num_sets, ways)
-
-    def test_loads_only_stream(self):
-        batch = batch_of_blocks([0, 1, 2, 0, 1, 2, 3, 0])
-        profile = MultiConfigFIFOProfile(batch, BLOCK, {1: 4})
-        assert profile.store_mode == "loads"
-        assert profile.miss_counts(1, 3) == kernel_counts(
-            batch, 1, 3, replacement="fifo")
-
-    def test_empty_trace(self):
-        profile = MultiConfigFIFOProfile(batch_of_blocks([]), BLOCK, {4: 2})
-        assert profile.accesses == 0
-        assert profile.miss_counts(4, 2).miss_ratio == 0.0
-
-    def test_builder_chunked_equals_one_shot(self):
-        addresses, writes = cached_workload_arrays("m88ksim", length=9000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        one_shot = MultiConfigFIFOProfile(batch, BLOCK, {64: 4})
-        builder = MultiConfigFIFOBuilder(BLOCK, {64: 4}, has_stores=True)
-        for start in range(0, 9000, 1234):
-            builder.feed(AddressBatch.from_arrays(
-                addresses[start:start + 1234], writes[start:start + 1234]))
-        chunked = builder.finish()
-        for ways in (1, 2, 4):
-            assert (chunked.miss_counts(64, ways)
-                    == one_shot.miss_counts(64, ways))
-
-    def test_builder_rejects_mid_stream_store_mode_change(self):
-        builder = MultiConfigFIFOBuilder(BLOCK, {16: 2}, has_stores=False)
-        builder.feed(batch_of_blocks([0, 1, 2]))
-        with pytest.raises(ValueError, match="store mode changed mid-stream"):
-            builder.feed(batch_of_blocks([3, 4], [True, False]))
-
-
-class TestMultiCapacityFIFOProfile:
-    def test_validates_capacities(self):
-        blocks = np.array([0, 1, 2], dtype=np.int64)
-        with pytest.raises(ValueError):
-            MultiCapacityFIFOProfile(blocks, [])
-        with pytest.raises(ValueError):
-            MultiCapacityFIFOProfile(blocks, [0, 4])
-
-    def test_matches_fully_associative_fifo_kernel(self):
-        rng = np.random.default_rng(17)
-        blocks = rng.integers(0, 80, size=4000)
-        batch = batch_of_blocks(blocks.tolist())
-        capacities = [1, 2, 7, 16, 33, 64, 100]
-        profile = MultiCapacityFIFOProfile(blocks, capacities)
-        for capacity in capacities:
-            cache = BatchSetAssociativeCache(
-                capacity * BLOCK, BLOCK, capacity,
-                index_function=SingleSetIndexing(), replacement="fifo")
-            cache.run(batch)
-            assert profile.miss_count(capacity) == cache.stats.misses
-            assert profile.hit_count(capacity) == cache.stats.hits
-
-    def test_curve_and_guards(self):
-        blocks = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
-        profile = MultiCapacityFIFOProfile(blocks, [2, 3])
-        assert profile.miss_count(2) == 6    # thrashes below the footprint
-        assert profile.miss_count(3) == 3    # compulsory only
-        assert profile.miss_ratio(3) == 0.5
-        assert profile.miss_ratio_curve().tolist() == [1.0, 0.5]
-        with pytest.raises(KeyError):
-            profile.miss_count(4)            # capacity not declared
-
-    def test_from_batch_and_empty_stream(self):
-        batch = batch_of_blocks([0, 1, 0])
-        profile = MultiCapacityFIFOProfile.from_batch(batch, BLOCK, [2])
-        assert profile.miss_count(2) == 2
-        empty = MultiCapacityFIFOProfile(np.empty(0, dtype=np.int64), [4])
-        assert empty.miss_ratio(4) == 0.0
-
-
-class TestFIFOPlanRouting:
-    """MultiConfigPlan must price FIFO grids off the one-pass profile,
-    bit-exact with per-config kernels in every profiled mode."""
-
-    def test_fifo_grid_every_mode_is_bit_exact(self):
-        addresses, writes = cached_workload_arrays("compress", length=5000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        grid = [(num_sets, ways) for num_sets in (32, 128)
-                for ways in (1, 2, 4)]
-        results = {mode: run_lru_grid(batch, BLOCK, grid, profile=mode,
-                                      replacement="fifo")
-                   for mode in ("auto", "always", "never", "sampled")}
-        assert results["always"] == results["never"]
-        assert results["auto"] == results["never"]
-        # FIFO tasks have no sampled path: "sampled" prices them exactly.
-        assert results["sampled"] == results["never"]
-
-    def test_fifo_grid_against_scalar_models(self):
-        addresses, writes = cached_workload_arrays("li", length=3000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        grid = [(16, 2), (64, 1), (64, 4)]
-        results = run_lru_grid(batch, BLOCK, grid, profile="always",
-                               replacement="fifo")
-        for (num_sets, ways), counts in results.items():
-            scalar = SetAssociativeCache(num_sets * ways * BLOCK, BLOCK,
-                                         ways, replacement="fifo")
-            for address, is_write in zip(batch.addresses.tolist(),
-                                         batch.is_write.tolist()):
-                scalar.access(address, is_write=is_write)
-            assert counts == ProfileCounts.from_stats(scalar.stats), (
-                num_sets, ways)
-
-    def test_mixed_lru_and_fifo_plan(self):
-        """LRU and FIFO tasks over one batch group separately, each priced
-        by its own profile kind, both exact."""
-        addresses, writes = cached_workload_arrays("go", length=4000)
-        batch = AddressBatch.from_arrays(addresses, writes)
-        plan = MultiConfigPlan(profile="always")
-        for ways in (1, 2, 4):
-            plan.add(("lru", ways), batch,
-                     lambda ways=ways: BatchSetAssociativeCache(
-                         64 * ways * BLOCK, BLOCK, ways))
-            plan.add(("fifo", ways), batch,
-                     lambda ways=ways: BatchSetAssociativeCache(
-                         64 * ways * BLOCK, BLOCK, ways, replacement="fifo"))
-        results = plan.run()
-        for ways in (1, 2, 4):
-            assert results[("lru", ways)] == kernel_counts(batch, 64, ways)
-            assert results[("fifo", ways)] == kernel_counts(
-                batch, 64, ways, replacement="fifo")
 
 
 class TestExactBuilderStoreModeGuard:

@@ -294,7 +294,7 @@ class TestSampledMultiConfig:
         batch = spread_trace(10_000, seed=36)
         grid = [(num_sets, ways) for num_sets in (64, 256)
                 for ways in (1, 2, 4)]
-        exact = run_lru_grid(batch, BLOCK, grid, profile="always")
+        exact = run_lru_grid(batch, BLOCK, grid)
         degenerate = run_lru_grid(batch, BLOCK, grid, profile="sampled",
                                   sample_rate=1.0)
         assert degenerate == exact
