@@ -62,11 +62,14 @@ times the Spec95 workload mixtures (tomcatv, swim, gcc) built by the
 per-access generator against the array-native builder: byte-identical,
 bounded at >= 10x.
 An ``ooo_pipeline`` section times the Table 2 path on gcc, tomcatv and
-swim under both index engines: one instruction-stream generation per
-program, replayed on the six Table 2 machines.  It reports generation us
-per instruction and pipeline us per instruction-machine, asserts every
-shared-stream result equals a run on a freshly generated stream, and is
-tracked without a bound.
+swim: one instruction-stream generation per program, replayed on the six
+Table 2 machines by the reference engine, by the vectorized engine on the
+Python pipeline loop and by the vectorized engine on its default tier (the
+compiled loop when the C tier is on).  It reports generation us per
+instruction and pipeline us per instruction-machine, and asserts every
+shared-stream result equals a run on a freshly generated stream and the
+compiled loop's results equal the Python loop's.  The compiled row is
+bounded at >= 20x over the Python loop; the other rows are tracked.
 ``REPRO_BENCH_ENGINE_ACCESSES`` overrides the
 trace length (default 1M); ``REPRO_BENCH_ENGINE_JSON`` overrides the
 artifact path (empty disables it).
@@ -711,40 +714,63 @@ def compare_trace_synthesis(accesses=BENCH_ENGINE_ACCESSES):
 OOO_PROGRAMS = ("gcc", "tomcatv", "swim")
 OOO_INSTRUCTIONS = 12_000
 SMOKE_OOO_INSTRUCTIONS = 1_500
+#: The compiled pipeline loop against the Python loop, both on the
+#: vectorized engine (pipeline time per instruction-machine).
+REQUIRED_SPEEDUP_OOO = 20.0
+
+#: ``(engine, run tier)`` of the OoO-pipeline rows; ``"auto"`` is what the
+#: Table 2 driver runs.
+OOO_ROWS = (("reference", "auto"), ("vectorized", "python"),
+            ("vectorized", "auto"))
 
 
 def compare_ooo_pipeline(instructions=OOO_INSTRUCTIONS):
     """Time the Table 2 path: one stream generation, six machine runs.
 
-    For each index engine and program, generates the instruction stream
-    once and runs it on every ``TABLE2_CONFIGS`` machine, timing the two
-    layers apart.  Each shared-stream result must equal a run on a freshly
-    generated stream.  Tracked only: no wall-clock bound.
+    For each program, generates the instruction stream once and runs it on
+    every ``TABLE2_CONFIGS`` machine per :data:`OOO_ROWS` entry, timing the
+    two layers apart.  Each default-tier result must equal a run on a
+    freshly generated stream, and the vectorized engine's default-tier
+    results must equal its Python loop's.  A row's ``tier`` is the
+    ``OutOfOrderProcessor.tier`` its runs reported; the compiled row
+    (``"c"``) is bounded by :data:`REQUIRED_SPEEDUP_OOO` over the Python
+    loop's row, the others are tracked.
     """
     rows = []
-    for engine in ("reference", "vectorized"):
-        for program in OOO_PROGRAMS:
-            start = time.perf_counter()
-            stream = list(build_program(program, length=instructions)
-                          .instructions())
-            generation_seconds = time.perf_counter() - start
-            shared = Program.from_list(program, stream)
+    for program in OOO_PROGRAMS:
+        start = time.perf_counter()
+        stream = list(build_program(program, length=instructions)
+                      .instructions())
+        generation_seconds = time.perf_counter() - start
+        shared = Program.from_list(program, stream)
+        python_loop = {}
+        for engine, tier in OOO_ROWS:
             pipeline_seconds = 0.0
+            tiers = set()
             for label, overrides in TABLE2_CONFIGS.items():
                 config = ProcessorConfig(**{"index_engine": engine,
                                             **overrides})
                 processor = OutOfOrderProcessor(config)
                 start = time.perf_counter()
-                result = processor.run(shared)
+                result = processor.run(shared, tier=tier)
                 pipeline_seconds += time.perf_counter() - start
+                tiers.add(processor.tier)
+                if tier == "python":
+                    python_loop[label] = result
+                    continue
                 fresh = OutOfOrderProcessor(config).run(
                     build_program(program, length=instructions))
                 assert result == fresh, (
                     f"{program}/{label}/{engine}: shared stream diverged "
                     "from a freshly generated one")
+                if engine == "vectorized":
+                    assert result == python_loop[label], (
+                        f"{program}/{label}: the {processor.tier} pipeline "
+                        "loop diverged from the Python loop")
             machines = len(TABLE2_CONFIGS)
             rows.append({
                 "program": program, "engine": engine,
+                "tier": " / ".join(sorted(tiers)),
                 "instructions": instructions, "machines": machines,
                 "generation_seconds": generation_seconds,
                 "pipeline_seconds": pipeline_seconds,
@@ -752,18 +778,40 @@ def compare_ooo_pipeline(instructions=OOO_INSTRUCTIONS):
                     1e6 * generation_seconds / instructions,
                 "pipeline_us_per_instr_machine":
                     1e6 * pipeline_seconds / (instructions * machines),
+                "bounded": tiers == {"c"},
             })
-    return {"rows": rows}
+        compiled, python = rows[-1], rows[-2]
+        compiled["speedup_vs_python_loop"] = (
+            python["pipeline_seconds"] / compiled["pipeline_seconds"])
+    return {"rows": rows, "required_speedup": REQUIRED_SPEEDUP_OOO}
 
 
 @pytest.mark.benchmark(group="engine-ooo-pipeline")
 def test_ooo_pipeline_throughput(benchmark):
-    """Shared Table 2 streams give fresh-stream results (tracked, unbounded)."""
+    """Shared Table 2 streams give fresh-stream results, and the compiled
+    pipeline loop beats the Python loop >= 20x with identical results."""
     result = benchmark.pedantic(compare_ooo_pipeline, rounds=1, iterations=1)
     print("\nooo-pipeline: " + ", ".join(
-        f"{row['program']}/{row['engine']} "
-        f"{row['pipeline_us_per_instr_machine']:.1f} us/instr-machine"
+        f"{row['program']}/{row['engine']}/{row['tier']} "
+        f"{row['pipeline_us_per_instr_machine']:.2f} us/instr-machine"
         for row in result["rows"]))
+    _check_ooo_rows(result["rows"], check_bounds=True)
+
+
+def _check_ooo_rows(rows, check_bounds):
+    """The default-tier rows ran on C whenever the tier is on; a compiled
+    row holds its bound."""
+    for row in rows:
+        if row["engine"] == "vectorized" and "speedup_vs_python_loop" in row:
+            if kernel_tier() == "c":
+                assert row["tier"] == "c", (
+                    f"{row['program']}: the Table 2 pipeline fell back to "
+                    f"{row['tier']}")
+            if check_bounds and row["bounded"]:
+                assert row["speedup_vs_python_loop"] >= REQUIRED_SPEEDUP_OOO, (
+                    f"{row['program']}: compiled pipeline only "
+                    f"{row['speedup_vs_python_loop']:.1f}x over the Python "
+                    f"loop (required {REQUIRED_SPEEDUP_OOO}x)")
 
 
 @pytest.mark.benchmark(group="engine-trace-synthesis")
@@ -1251,12 +1299,16 @@ def main(argv=None):
         SMOKE_OOO_INSTRUCTIONS if args.smoke else OOO_INSTRUCTIONS)
     print(f"\nooo-pipeline ({ooo_pipeline['rows'][0]['instructions']:,} "
           f"instructions x {len(TABLE2_CONFIGS)} Table 2 machines, shared "
-          f"stream == fresh stream, tracked):")
+          f"stream == fresh stream, compiled == Python loop):")
     for row in ooo_pipeline["rows"]:
-        print(f"  {row['program']:10s} {row['engine']:10s} generation "
+        speedup = row.get("speedup_vs_python_loop")
+        print(f"  {row['program']:10s} {row['engine']:10s} "
+              f"{row['tier']:30s} generation "
               f"{row['generation_us_per_instr']:5.1f} us/instr, pipeline "
-              f"{row['pipeline_us_per_instr_machine']:5.1f} "
-              f"us/instr-machine")
+              f"{row['pipeline_us_per_instr_machine']:6.2f} "
+              f"us/instr-machine"
+              + (f" ({speedup:5.1f}x)" if speedup else ""))
+    _check_ooo_rows(ooo_pipeline["rows"], check_bounds)
 
     path = _write_artifact(rows, accesses, sweep=sweep, smoke=args.smoke,
                            trace_io=trace_io, profiler=profiler,

@@ -68,6 +68,11 @@ class StrideAddressPredictor:
         """Number of table entries."""
         return self._entries
 
+    @property
+    def confidence_threshold(self) -> int:
+        """Counter value from which a prediction is used."""
+        return self._threshold
+
     def _index(self, pc: int) -> int:
         # The table is untagged: different loads may alias the same entry,
         # trading accuracy for cost exactly as the paper describes.

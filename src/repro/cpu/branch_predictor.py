@@ -23,6 +23,7 @@ class BimodalBranchPredictor:
             raise ValueError("initial_counter must be a 2-bit value")
         self._entries = entries
         self._mask = entries - 1
+        self._initial_counter = initial_counter
         self._counters: List[int] = [initial_counter] * entries
         self.predictions = 0
         self.mispredictions = 0
@@ -31,6 +32,11 @@ class BimodalBranchPredictor:
     def entries(self) -> int:
         """Number of counters in the table."""
         return self._entries
+
+    @property
+    def initial_counter(self) -> int:
+        """The 2-bit value every counter starts from (and returns to on reset)."""
+        return self._initial_counter
 
     def _index(self, pc: int) -> int:
         # Instructions are word-aligned; drop the low two bits before hashing.
@@ -61,7 +67,7 @@ class BimodalBranchPredictor:
         return self.mispredictions / self.predictions if self.predictions else 0.0
 
     def reset(self) -> None:
-        """Return every counter to weakly not-taken and clear statistics."""
-        self._counters = [1] * self._entries
+        """Return every counter to ``initial_counter`` and clear statistics."""
+        self._counters = [self._initial_counter] * self._entries
         self.predictions = 0
         self.mispredictions = 0

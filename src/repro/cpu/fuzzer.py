@@ -23,7 +23,9 @@ differential harness over it:
 * :func:`run_differential` simulates one program under both ``--engine``
   backends — the scalar reference I-Poly placement and the engine's
   table-accelerated :class:`~repro.engine.tabulated.TabulatedIPolyIndexing`
-  — and compares architectural/timing state bit-exactly: committed
+  — with the vectorized engine on each requested tier (the Python pipeline
+  loop and the compiled one of :mod:`repro.cpu.compiled`), and compares
+  architectural/timing state bit-exactly: committed
   instruction counts, cycle counts, per-op histograms, branch/address
   predictor statistics, the full :class:`~repro.cache.stats.CacheStats`,
   the data-cache model's timing counters, the resident cache contents and
@@ -40,7 +42,7 @@ generator parameters that rebuild the failing program exactly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..trace.generators import _SplitMix64
 from .dcache import DataCacheModel
@@ -404,8 +406,13 @@ class DifferentialOutcome:
     seed: int
     params: FuzzParams
     reference: SimulationResult
-    vectorized: SimulationResult
-    #: Batch-replay kernel names, keyed by engine label.
+    #: The vectorized engine's result on the Python tier (``None`` when
+    #: that tier was not requested).
+    vectorized: Optional[SimulationResult]
+    #: The vectorized engine's result on the C tier (``None`` when that
+    #: tier was not requested).
+    compiled: Optional[SimulationResult] = None
+    #: Batch-replay kernel names, keyed by run label.
     replay_strategies: Dict[str, str] = field(default_factory=dict)
     #: Human-readable descriptions of every disagreement (empty = bit-exact).
     mismatches: List[str] = field(default_factory=list)
@@ -424,13 +431,18 @@ class DifferentialOutcome:
                 + repro_line(self.seed, self.params))
 
 
+#: Run label of the vectorized engine on each tier.
+_TIER_LABELS = {"python": "vectorized", "c": "vectorized-c"}
+
+
 def _run_one(program: Program, config: ProcessorConfig,
-             max_instructions: Optional[int]):
+             max_instructions: Optional[int], tier: str = "auto"):
     """Simulate ``program`` on ``config`` with a stream-recording dcache."""
     dcache = DataCacheModel(config.build_cache(), config.cache_timing(),
                             record_stream=True)
     processor = OutOfOrderProcessor(config, cache_model=dcache)
-    result = processor.run(program, max_instructions=max_instructions)
+    result = processor.run(program, max_instructions=max_instructions,
+                           tier=tier)
     return processor, result
 
 
@@ -438,58 +450,79 @@ def run_differential(program: Program,
                      params: FuzzParams,
                      seed: int = 0,
                      max_instructions: Optional[int] = None,
-                     check_replay: bool = True) -> DifferentialOutcome:
+                     check_replay: bool = True,
+                     tiers: Sequence[str] = ("python",)) -> DifferentialOutcome:
     """Run ``program`` under both index engines and diff everything.
 
-    The comparison covers the committed architectural/timing state (counts,
-    cycles, per-op histograms, predictor statistics), the full functional
-    cache statistics, the data-cache timing counters, the final resident
-    cache contents and the recorded access streams.  With ``check_replay``
-    (the default) each engine's recorded stream is additionally replayed
-    through the batch kernels and the hit/miss statistics compared again.
+    The reference engine runs the Python pipeline loop; the vectorized
+    engine runs once per entry of ``tiers``: ``"python"`` forces the Python
+    loop, ``"c"`` expects the compiled one and notes a mismatch when the
+    processor fell back (``processor.tier != "c"``), so a silent fallback
+    cannot pass.  Each vectorized run is compared with the reference run:
+    the committed architectural/timing state (counts, cycles, per-op
+    histograms, predictor statistics), the full functional cache
+    statistics, the data-cache timing counters, the final resident cache
+    contents and the recorded access streams.  With ``check_replay`` (the
+    default) each run's recorded stream is additionally replayed through
+    the batch kernels and the hit/miss statistics compared again.
     """
+    unknown = set(tiers) - set(_TIER_LABELS)
+    if unknown or not tiers:
+        raise ValueError(f"tiers must be drawn from {tuple(_TIER_LABELS)}, "
+                         f"got {tuple(tiers)!r}")
     base = fuzz_config(params)
     ref_proc, ref = _run_one(program, replace(base, index_engine="reference"),
                              max_instructions)
-    vec_proc, vec = _run_one(program, replace(base, index_engine="vectorized"),
-                             max_instructions)
+    runs = [("reference", ref_proc, ref)]
+    for tier in tiers:
+        proc, result = _run_one(program,
+                                replace(base, index_engine="vectorized"),
+                                max_instructions,
+                                tier="python" if tier == "python" else "auto")
+        runs.append((_TIER_LABELS[tier], proc, result))
 
-    outcome = DifferentialOutcome(seed=seed, params=params,
-                                  reference=ref, vectorized=vec)
+    by_label = {label: result for label, _, result in runs}
+    outcome = DifferentialOutcome(seed=seed, params=params, reference=ref,
+                                  vectorized=by_label.get("vectorized"),
+                                  compiled=by_label.get("vectorized-c"))
     note = outcome.mismatches.append
 
-    for name in _RESULT_FIELDS:
-        left, right = getattr(ref, name), getattr(vec, name)
-        if left != right:
-            note(f"result.{name}: reference={left!r} vectorized={right!r}")
-
-    ref_stats = ref_proc.dcache.cache.stats
-    vec_stats = vec_proc.dcache.cache.stats
-    if ref_stats != vec_stats:
-        note(f"cache stats: reference={ref_stats!r} vectorized={vec_stats!r}")
-
-    for counter in ("load_accesses", "store_accesses", "merged_misses",
-                    "mshr_stall_cycles"):
-        left = getattr(ref_proc.dcache, counter)
-        right = getattr(vec_proc.dcache, counter)
-        if left != right:
-            note(f"dcache.{counter}: reference={left} vectorized={right}")
-
-    ref_resident = sorted(ref_proc.dcache.cache.resident_blocks())
-    vec_resident = sorted(vec_proc.dcache.cache.resident_blocks())
-    if ref_resident != vec_resident:
-        note("resident cache contents differ between engines")
-
     ref_stream = ref_proc.dcache.recorded_stream()
-    vec_stream = vec_proc.dcache.recorded_stream()
-    if ref_stream != vec_stream:
-        note("recorded dcache access streams differ between engines")
+    for label, proc, result in runs[1:]:
+        if label == "vectorized-c" and proc.tier != "c":
+            note(f"{label} fell back to the Python loop ({proc.tier})")
+        for name in _RESULT_FIELDS:
+            left, right = getattr(ref, name), getattr(result, name)
+            if left != right:
+                note(f"result.{name}: reference={left!r} {label}={right!r}")
+        if list(ref.op_counts) != list(result.op_counts):
+            note(f"result.op_counts key order: reference={list(ref.op_counts)} "
+                 f"{label}={list(result.op_counts)}")
+
+        ref_stats = ref_proc.dcache.cache.stats
+        stats = proc.dcache.cache.stats
+        if ref_stats != stats:
+            note(f"cache stats: reference={ref_stats!r} {label}={stats!r}")
+
+        for counter in ("load_accesses", "store_accesses", "merged_misses",
+                        "mshr_stall_cycles"):
+            left = getattr(ref_proc.dcache, counter)
+            right = getattr(proc.dcache, counter)
+            if left != right:
+                note(f"dcache.{counter}: reference={left} {label}={right}")
+
+        if (sorted(ref_proc.dcache.cache.resident_blocks())
+                != sorted(proc.dcache.cache.resident_blocks())):
+            note(f"resident cache contents differ: reference vs {label}")
+
+        if ref_stream != proc.dcache.recorded_stream():
+            note(f"recorded dcache access streams differ: reference vs {label}")
 
     if check_replay:
         # Local import: repro.cpu stays importable without NumPy installed.
         from ..engine.replay import replay_access_stream
-        for label, proc, stream in (("reference", ref_proc, ref_stream),
-                                    ("vectorized", vec_proc, vec_stream)):
+        for label, proc, _ in runs:
+            stream = proc.dcache.recorded_stream()
             replay = replay_access_stream(stream[0], stream[1],
                                           proc.dcache.cache)
             outcome.replay_strategies[label] = replay.strategy

@@ -27,9 +27,14 @@ Dependences between instructions are honoured through register ready times
 (renaming removes all false dependences, so only true RAW dependences carry
 timing).  The approach — a single in-order pass with resource state carried
 in "next free" structures — reproduces the first-order behaviour of an
-out-of-order core at a small fraction of the cost of an event-driven model,
-which is what makes the Table 2 sweep (18 programs x 6 configurations)
-practical in pure Python.
+out-of-order core at a small fraction of the cost of an event-driven model.
+
+The loop exists twice.  :meth:`OutOfOrderProcessor.run` below is the oracle
+and the fallback; on the vectorized index engine, with the C tier on
+(:mod:`repro.engine.cext`) and the paper's L1 (2-way LRU write-through, no
+classifier), the same loop runs compiled (:mod:`repro.cpu.compiled`) with
+identical results, which is what makes the Table 2 sweep (18 programs x 6
+configurations) take seconds.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ class ProcessorConfig:
     index_address_bits: int = 19
     #: "reference" evaluates the placement function with scalar GF(2)
     #: division; "vectorized" swaps in the engine's table-accelerated,
-    #: bit-exact equivalent (same IPC and miss ratios, faster simulation).
+    #: bit-exact equivalent and runs the compiled pipeline loop when it can
+    #: (same IPC and miss ratios, faster simulation).
     index_engine: str = "reference"
 
     # Cache timing.
@@ -224,11 +230,14 @@ class OutOfOrderProcessor:
         self._fp_regs = WindowResource(self.config.fp_physical_registers, "fp-prf")
         # Cycle before which fetch may not proceed (raised by mispredictions).
         self._fetch_floor = 0
+        #: Which loop ran the last :meth:`run`: ``"c"`` or ``"python:
+        #: <reason>"`` (``None`` before the first run).
+        self.tier: Optional[str] = None
 
     # ------------------------------------------------------------------ #
 
-    def run(self, program: Program,
-            max_instructions: Optional[int] = None) -> SimulationResult:
+    def run(self, program: Program, max_instructions: Optional[int] = None,
+            *, tier: str = "auto") -> SimulationResult:
         """Simulate ``program`` and return aggregate statistics.
 
         The simulation is fully deterministic: the model draws no randomness
@@ -236,9 +245,39 @@ class OutOfOrderProcessor:
         so running the same program on a freshly built processor always
         produces identical results — the property the differential fuzz
         harness (:mod:`repro.cpu.fuzzer`) depends on and audits.
+
+        ``tier="auto"`` runs the compiled loop when it can serve this
+        processor (see the module docstring) and this Python loop
+        otherwise; ``tier="python"`` forces this loop.  Both give the same
+        result, cache contents and statistics; :attr:`tier` records which
+        ran.  The compiled loop does not write the pipeline's timing and
+        predictor state back, so a processor that ran on it refuses a
+        second run.
         """
         if max_instructions is not None and max_instructions < 0:
             raise ValueError("max_instructions must be non-negative")
+        if tier not in ("auto", "python"):
+            raise ValueError(f"unknown tier {tier!r}; expected 'auto' or 'python'")
+        if self.tier == "c":
+            raise RuntimeError("this processor already ran on the C tier, "
+                               "which keeps no pipeline state; build a "
+                               "fresh OutOfOrderProcessor for each run")
+        if tier == "python":
+            self.tier = "python: forced"
+        elif self.tier is not None:
+            self.tier = "python: the processor already ran"
+        elif self.config.index_engine != "vectorized":
+            self.tier = "python: reference index engine"
+        else:
+            # Local import: NumPy and the C tier load only on this path.
+            from .compiled import run_compiled
+            result, self.tier = run_compiled(self, program, max_instructions)
+            if result is not None:
+                return result
+        return self._run_python(program, max_instructions)
+
+    def _run_python(self, program: Program,
+                    max_instructions: Optional[int]) -> SimulationResult:
         cfg = self.config
         reg_ready: Dict[int, int] = {}
         last_commit = 0
@@ -294,12 +333,17 @@ class OutOfOrderProcessor:
                 dcache_store(inst.address, last_commit)
                 record_store(seq, inst.address, complete, last_commit)
 
+        return self._result(program, op_counts, last_commit, forwarded)
+
+    def _result(self, program: Program, op_counts: Dict[str, int],
+                cycles: int, forwarded: int) -> SimulationResult:
+        """The :class:`SimulationResult` of a finished run of either loop."""
         cache_stats = self.dcache.cache.stats
         return SimulationResult(
             program=program.name,
-            config=cfg,
+            config=self.config,
             instructions=sum(op_counts.values()),
-            cycles=last_commit,
+            cycles=cycles,
             load_miss_ratio=cache_stats.load_miss_ratio,
             store_miss_ratio=(cache_stats.store_misses / cache_stats.stores
                               if cache_stats.stores else 0.0),
@@ -309,7 +353,7 @@ class OutOfOrderProcessor:
             address_prediction_accuracy=(self.address_predictor.accuracy
                                          if self.address_predictor else 0.0),
             loads=op_counts.get(OpClass.LOAD, 0),
-            stores=op_counts.get(STORE, 0),
+            stores=op_counts.get(OpClass.STORE, 0),
             branches=op_counts.get(OpClass.BRANCH, 0),
             forwarded_loads=forwarded,
             op_counts=op_counts,

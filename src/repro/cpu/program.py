@@ -13,7 +13,8 @@ replayed for every cache configuration of an experiment — each call to
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional)
 
 from .isa import Instruction
 
@@ -42,6 +43,7 @@ class Program:
         self._name = name
         self._factory = factory
         self._length_hint = length_hint
+        self._memo: Dict[Hashable, Any] = {}
 
     @property
     def name(self) -> str:
@@ -56,6 +58,17 @@ class Program:
     def instructions(self) -> Iterator[Instruction]:
         """Return a fresh iterator over the dynamic instruction stream."""
         return iter(self._factory())
+
+    def memoised(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per program and ``key``.
+
+        Every replay yields the same stream, so a view derived from it (the
+        compiled pipeline's instruction columns, for one) can be shared by
+        all the machines an experiment runs the program on.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @classmethod
     def from_list(cls, name: str, instructions: List[Instruction]) -> "Program":

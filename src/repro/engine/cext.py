@@ -1,11 +1,14 @@
 """Loader of the compiled kernel tier (``_kernels.c``).
 
-The trace-order loops of the paper's 2-way caches and of the victim cache
-also exist as C (:file:`_kernels.c`), which runs them ~20-65x faster than
-the Python kernels of :mod:`repro.engine.skew_decompose`.  No build step or
-extension package is involved: the first kernel call that wants the tier
-compiles the source with the system C compiler (``cc -O2 -shared -fPIC``)
-into a per-user cache directory and loads it with :mod:`ctypes`.
+Three loops also exist as C (:file:`_kernels.c`): the trace-order loops of
+the paper's 2-way caches and of the victim cache, which run ~20-65x faster
+than the Python kernels of :mod:`repro.engine.skew_decompose`, and the
+out-of-order pipeline loop of Tables 2 and 3, which runs ~30-50x faster
+than :meth:`repro.cpu.processor.OutOfOrderProcessor.run`, building its
+input columns included (its glue is :mod:`repro.cpu.compiled`).  No build
+step or extension package is involved: the first kernel call that wants
+the tier compiles the source with the system C compiler (``cc -O2 -shared
+-fPIC``) into a per-user cache directory and loads it with :mod:`ctypes`.
 
 * The shared object is named by the sha256 of the source and the flags, so
   an edited source never loads a stale build, and lives under
@@ -73,7 +76,6 @@ def _build(target_name: str) -> str:
     A directory is used only if this user owns it and nobody else can
     write to it: the library found there is loaded into the process.
     """
-    import subprocess
     import tempfile
 
     errors = []
@@ -91,6 +93,8 @@ def _build(target_name: str) -> str:
         except OSError as exc:
             errors.append(f"{directory}: {exc.strerror or exc}")
             continue
+        import subprocess  # only when a build is needed
+
         try:
             try:
                 proc = subprocess.run(
@@ -137,6 +141,8 @@ def _load():
                                i64, ptr, ptr, ptr, ptr,
                                ctypes.c_uint64, ptr, ptr]
     lib.victim_run.restype = None
+    lib.ooo_run.argtypes = [i64] + [ptr] * 21
+    lib.ooo_run.restype = c_int
     return lib
 
 

@@ -141,6 +141,9 @@ def _unit_rate(text: str) -> float:
 #: Knobs that only mean something under ``--profile sampled``.
 _SAMPLING_KNOBS = ("sample_rate", "sample_size", "profile_seed")
 
+#: Accesses per streamed ``--trace`` batch unless ``--trace-chunk`` is given.
+_TRACE_CHUNK = 1 << 20
+
 
 class _DriverParser(argparse.ArgumentParser):
     """Sub-command parser that also rejects flag combinations its driver
@@ -164,6 +167,10 @@ class _DriverParser(argparse.ArgumentParser):
         namespace, extras = super().parse_known_args(args, namespace)
         if getattr(namespace, "trace", None) is not None:
             self._check_trace(namespace)
+        if getattr(namespace, "trace_chunk", None) is not None:
+            self._check_trace_chunk(namespace)
+        elif hasattr(namespace, "trace_chunk"):
+            namespace.trace_chunk = _TRACE_CHUNK
         if hasattr(namespace, "profile"):
             self._check_sampling(namespace)
         for action, default in self._deferred:
@@ -179,6 +186,14 @@ class _DriverParser(argparse.ArgumentParser):
             self.error(f"{given[0]} does not apply to --trace (a recorded "
                        "trace replays serially on every cache's exact "
                        "kernel)")
+
+    def _check_trace_chunk(self, namespace: argparse.Namespace) -> None:
+        if namespace.trace is None:
+            self.error("--trace-chunk needs --trace (it sizes the batches a "
+                       "recorded trace streams in)")
+        if namespace.engine == ENGINE_REFERENCE:
+            self.error("--trace-chunk needs --engine vectorized (the "
+                       "reference engine replays one record at a time)")
 
     def _check_sampling(self, namespace: argparse.Namespace) -> None:
         if namespace.profile == "sampled":
@@ -276,9 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   ".gz/.bz2/.xz/.zst-compressed, v1 "
                                   "binary/text, or Dinero .din)")
         parser_.add_argument("--trace-chunk", dest="trace_chunk",
-                             type=_positive_int, default=1 << 20,
-                             help="accesses per streamed batch on the "
-                                  "vectorized engine (bounds memory; results "
+                             type=_positive_int, default=None,
+                             help="accesses per streamed --trace batch on "
+                                  f"the vectorized engine (default "
+                                  f"{_TRACE_CHUNK}; bounds memory; results "
                                   "are identical for any chunk size)")
 
     def add_programs(parser_: _DriverParser) -> None:

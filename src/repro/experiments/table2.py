@@ -162,15 +162,18 @@ def run_table2(programs: Optional[Sequence[str]] = None,
     """Simulate every (program, configuration) pair of Table 2.
 
     ``instructions`` scales the per-program run length; the paper simulates
-    100 M committed instructions per benchmark, which is far beyond what a
-    pure-Python model can afford, but the synthetic programs reach their
-    steady-state behaviour within a few tens of thousands of instructions.
+    100 M committed instructions per benchmark, but the synthetic programs
+    reach their steady-state behaviour within a few tens of thousands of
+    instructions, and generating their streams (in Python) dominates the
+    run time.
 
     The processor pipeline is inherently sequential, so ``engine`` does not
     change *what* is simulated: ``"vectorized"`` swaps the I-Poly placement
     function for the engine's table-accelerated, bit-exact equivalent
-    (:class:`~repro.engine.tabulated.TabulatedIPolyIndexing`), producing
-    identical IPCs and miss ratios faster.
+    (:class:`~repro.engine.tabulated.TabulatedIPolyIndexing`) and, with the
+    C tier on (:mod:`repro.engine.cext`), runs the pipeline loop compiled
+    (:mod:`repro.cpu.compiled`), producing identical IPCs and miss ratios
+    faster.
 
     ``workers`` fans the per-program tasks (each simulating all six machine
     configurations for one program) across a process pool via

@@ -416,6 +416,36 @@ def test_trace_refuses_flags_it_would_ignore(command, flags, tmp_path,
     assert not (tmp_path / "J").exists()
 
 
+@pytest.mark.parametrize("command", ["figure1", "miss-ratio",
+                                     "replacement-study"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+def test_trace_chunk_without_trace_is_refused(command, engine, capsys):
+    """``--trace-chunk`` sizes a recorded trace's batches; without
+    ``--trace`` it used to be accepted and ignored (exit 0)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--engine", engine, "--trace-chunk", "5"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "--trace-chunk needs --trace" in errors[0]
+
+
+def test_trace_chunk_on_the_reference_engine_is_refused(tmp_path, capsys):
+    """The reference engine replays a trace one record at a time, so a
+    chunk size would be ignored there."""
+    recorded = tmp_path / "recorded.ctr"
+    recorded.write_bytes(b"")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["miss-ratio", "--trace", str(recorded), "--engine",
+              "reference", "--trace-chunk", "64"])
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1
+    assert "--trace-chunk needs --engine vectorized" in errors[0]
+
+
 #: Small driver runs whose output must be byte-identical under both
 #: engines: every kernel the vectorized engine dispatches to, end to end.
 CROSS_ENGINE_RUNS = [

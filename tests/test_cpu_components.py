@@ -79,6 +79,18 @@ class TestBranchPredictor:
         predictor.reset()
         assert predictor.predictions == 0
 
+    @pytest.mark.parametrize("initial", [0, 1, 2, 3])
+    def test_reset_restores_the_initial_counter(self, initial):
+        """reset() used to hard-code counter 1 (weakly not-taken)."""
+        predictor = BimodalBranchPredictor(entries=8, initial_counter=initial)
+        assert predictor.initial_counter == initial
+        before = [predictor.predict(pc) for pc in range(0, 64, 4)]
+        for pc in range(0, 64, 4):
+            predictor.update(pc, initial < 2)
+        predictor.reset()
+        assert [predictor.predict(pc) for pc in range(0, 64, 4)] == before
+        assert before == [initial >= 2] * 16
+
 
 class TestAddressPredictor:
     def test_learns_constant_stride(self):

@@ -2,8 +2,9 @@
 
 Tier-1 replays the committed corpus (``tests/corpus/cpu_fuzz_corpus.json``)
 through the differential harness — every seed must stay bit-exact across the
-reference and vectorized index engines *and* across the batch-kernel dcache
-replay.  A small Hypothesis property fuzzes fresh short programs on every
+reference and vectorized index engines, across the Python and compiled
+pipeline loops (the C side must really have run on C) *and* across the
+batch-kernel dcache replay.  A small Hypothesis property fuzzes fresh short programs on every
 run.  The open-ended loop (``-m slow``) generates fresh seeds under a time
 budget for the nightly CI job; on failure it prints the one-line repro and
 writes a JSON artifact with everything needed to rebuild the program.
@@ -25,7 +26,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.fuzzer import (
@@ -53,12 +54,37 @@ CORPUS_SEEDS = [entry["seed"] for entry in _CORPUS["programs"]]
 # --------------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
-def test_corpus_seed_is_bit_exact(seed):
+def test_corpus_seed_is_bit_exact(seed, pipeline_tiers):
     program, params = build_fuzz_program(seed)
-    outcome = run_differential(program, params, seed=seed)
+    outcome = run_differential(program, params, seed=seed,
+                               tiers=pipeline_tiers)
     outcome.assert_ok()
-    # The harness really ran the batch replay for both engines.
-    assert set(outcome.replay_strategies) == {"reference", "vectorized"}
+    # The harness really ran the batch replay for every run.
+    labels = {"python": "vectorized", "c": "vectorized-c"}
+    assert set(outcome.replay_strategies) == {
+        "reference", *(labels[tier] for tier in pipeline_tiers)}
+    if "c" in pipeline_tiers:
+        assert outcome.compiled == outcome.vectorized
+
+
+def test_compiled_side_must_run_on_c(monkeypatch):
+    """A C side that silently fell back to Python is a mismatch."""
+    from repro.engine import cext
+
+    monkeypatch.setattr(cext, "kernels", lambda: None)
+    program, params = build_fuzz_program(5)
+    outcome = run_differential(program, params, seed=5, tiers=("c",),
+                               check_replay=False)
+    assert len(outcome.mismatches) == 1
+    assert outcome.mismatches[0].startswith(
+        "vectorized-c fell back to the Python loop (python: ")
+
+
+@pytest.mark.parametrize("tiers", [(), ("gpu",)])
+def test_run_differential_rejects_unknown_tiers(tiers):
+    program, params = build_fuzz_program(5)
+    with pytest.raises(ValueError, match="tiers"):
+        run_differential(program, params, tiers=tiers)
 
 
 def test_corpus_covers_generator_space():
@@ -190,12 +216,14 @@ def test_assert_ok_raises_with_repro():
 # property fuzz: fresh short programs on every tier-1 run
 # --------------------------------------------------------------------------- #
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_property_fresh_seeds_stay_bit_exact(seed):
+def test_property_fresh_seeds_stay_bit_exact(seed, pipeline_tiers):
     params = random_params(seed, length=300)
     program, params = build_fuzz_program(seed, params)
-    run_differential(program, params, seed=seed).assert_ok()
+    run_differential(program, params, seed=seed,
+                     tiers=pipeline_tiers).assert_ok()
 
 
 # --------------------------------------------------------------------------- #
@@ -216,7 +244,7 @@ def _write_artifact(directory, outcome):
 
 
 @pytest.mark.slow
-def test_fuzz_loop():
+def test_fuzz_loop(pipeline_tiers):
     """Fuzz fresh random programs until the count or time budget runs out."""
     programs = int(os.environ.get("REPRO_FUZZ_PROGRAMS", "200"))
     budget = float(os.environ.get("REPRO_FUZZ_BUDGET_SECONDS", "600"))
@@ -228,7 +256,8 @@ def test_fuzz_loop():
         if time.monotonic() - started > budget:
             break
         program, params = build_fuzz_program(seed)
-        outcome = run_differential(program, params, seed=seed)
+        outcome = run_differential(program, params, seed=seed,
+                                   tiers=pipeline_tiers)
         ran += 1
         if not outcome.ok:
             if artifact_dir:

@@ -1,6 +1,7 @@
 """Tests for the experiment drivers (scaled-down versions of each table/figure)."""
 
 import pytest
+from conftest import assert_pipeline_tier
 
 from repro.cpu import workloads as cpu_workloads
 from repro.cpu.fuzzer import _RESULT_FIELDS
@@ -511,7 +512,8 @@ class TestTable2SharedStream:
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     @pytest.mark.parametrize("name", program_names())
-    def test_shared_stream_matches_a_fresh_stream_per_machine(self, name, engine):
+    def test_shared_stream_matches_a_fresh_stream_per_machine(
+            self, name, engine, forced_tier, pipeline_tiers_seen):
         shared = _table2_program_task(_table2_task(name, engine))
         assert list(shared) == list(TABLE2_CONFIGS)
         for label, overrides in TABLE2_CONFIGS.items():
@@ -522,6 +524,8 @@ class TestTable2SharedStream:
                 assert getattr(shared[label], field) == getattr(fresh, field), (
                     f"{name}/{label}/{engine}: {field}")
             assert shared[label] == fresh
+        assert len(pipeline_tiers_seen) == 2 * len(TABLE2_CONFIGS)
+        assert_pipeline_tier(pipeline_tiers_seen, engine, forced_tier)
 
     def test_one_generation_per_program(self, monkeypatch):
         generated = []

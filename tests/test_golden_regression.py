@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import assert_pipeline_tier
 
 from repro.engine import ENGINES
 from repro.experiments.figure1 import run_figure1
@@ -124,9 +125,10 @@ def _table2_snapshot(result):
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))
-def test_table2_matches_golden(engine):
+def test_table2_matches_golden(engine, forced_tier, pipeline_tiers_seen):
     """Table 2 IPCs and load miss ratios through the full OoO CPU path:
-    both index engines must reproduce the committed snapshot exactly."""
+    both index engines, on both pipeline tiers, must reproduce the
+    committed snapshot exactly."""
     golden = load_golden("table2.json")
     params = golden["params"]
     result = run_table2(programs=params["programs"],
@@ -136,12 +138,13 @@ def test_table2_matches_golden(engine):
     ipc, miss = _table2_snapshot(result)
     assert ipc == golden["ipc"]
     assert miss == golden["load_miss_ratio_percent"]
+    assert_pipeline_tier(pipeline_tiers_seen, engine, forced_tier)
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))
-def test_table3_matches_golden(engine):
+def test_table3_matches_golden(engine, forced_tier, pipeline_tiers_seen):
     """Table 3 view (high-conflict vs low-conflict groups) over the same
-    committed per-cell numbers."""
+    committed per-cell numbers, on both pipeline tiers."""
     golden = load_golden("table3.json")
     params = golden["params"]
     table2 = run_table2(programs=params["programs"],
@@ -154,6 +157,7 @@ def test_table3_matches_golden(engine):
     ipc, miss = _table2_snapshot(table2)
     assert ipc == golden["ipc"]
     assert miss == golden["load_miss_ratio_percent"]
+    assert_pipeline_tier(pipeline_tiers_seen, engine, forced_tier)
 
 
 def test_goldens_are_committed():
